@@ -16,10 +16,10 @@ the same prepared handles:
 - **on**  — the serve defaults: 5% head sampling with slow/error keep,
   plus a rotating query log on disk.
 
-Paired ABBA sampling (see ``bench_analyze_overhead.py``): each round
-times off-on-on-off, contributes one ratio, and the *median* ratio over
-rounds is gated — linear drift cancels within a round, and a noisy
-neighbour spoils one ratio instead of a side's minimum.
+Paired ABBA sampling: each round times off-on-on-off, contributes one
+ratio, and the *median* ratio over rounds is gated — linear drift
+cancels within a round, and a noisy neighbour spoils one ratio instead
+of a side's minimum.
 
 Run with::
 
@@ -51,9 +51,9 @@ MAX_OVERHEAD = 0.05
 MAX_ATTEMPTS = 3
 
 # Queries whose *compiled* (NNRC → Python) form runs sub-second on the
-# micro database — the service's execute path, unlike the join-engine
-# sweep in bench_analyze_overhead.py, does not get the hash-join fast
-# paths, so the nested-loop-heavy queries are excluded here.
+# micro database — the service's execute path, unlike the join engine,
+# does not get the hash-join fast paths, so the nested-loop-heavy
+# queries are excluded here.
 QUICK_QUERIES = ("q1", "q6", "q14", "q15")
 FULL_QUERIES = ("q1", "q4", "q6", "q12", "q14", "q15", "q19", "q22")
 

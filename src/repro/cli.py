@@ -421,13 +421,13 @@ def _print_analyze(result: CompilationResult, constants: dict, out) -> Optional[
     from repro.data.model import Bag, Record
     from repro.nraenv.eval import EvalError
     from repro.nraenv.exec import eval_fast
-    from repro.obs.analyze import analyze_execution, calibration_report, render_analyze
+    from repro.obs.analyze import AnalyzeCollector, calibration_report, render_analyze
 
     plan = result.output("nraenv_opt")
     print("== EXPLAIN ANALYZE (optimized NRAe, join engine) ==", file=out)
+    collector = AnalyzeCollector()
     try:
-        with analyze_execution() as collector:
-            value = eval_fast(plan, Record({}), None, constants)
+        value = eval_fast(plan, Record({}), None, constants, analyzer=collector)
     except EvalError as exc:
         print("execution failed: %s" % exc, file=out)
         print("", file=out)
@@ -542,17 +542,17 @@ def _explain_json(result: CompilationResult, constants: dict, language: str, tex
     from repro.nraenv.eval import EvalError
     from repro.nraenv.exec import eval_fast
     from repro.obs.analyze import (
+        AnalyzeCollector,
         analysis_summary,
-        analyze_execution,
         analyze_json,
         calibration_data,
     )
 
     plan = result.output("nraenv_opt")
     doc: dict = {"language": language, "query": text}
+    collector = AnalyzeCollector()
     try:
-        with analyze_execution() as collector:
-            value = eval_fast(plan, Record({}), None, constants)
+        value = eval_fast(plan, Record({}), None, constants, analyzer=collector)
     except EvalError as exc:
         doc["ok"] = False
         doc["error"] = str(exc)

@@ -11,7 +11,6 @@ property-test harness in :mod:`repro.optim.verify` does the same.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Mapping, Optional
 
 from repro.data import kernel
@@ -41,27 +40,6 @@ def set_observer(observer) -> None:
     _OBSERVER = observer
 
 
-#: EXPLAIN ANALYZE collector (see :mod:`repro.obs.analyze`).  Unlike
-#: the observer, enabling it swaps the ``_eval`` dispatcher itself, so
-#: the disabled path carries literally zero extra work — not even a
-#: guard.  All recursion routes through the module-global ``_eval``
-#: name, which makes the swap total.
-_ANALYZER = None
-
-
-def set_analyzer(analyzer) -> None:
-    """Install (or with ``None``, remove) the EXPLAIN ANALYZE collector.
-
-    The analyzer receives ``enter(plan)`` / ``exit(stats, seconds,
-    result)`` around every node evaluation (``exit_error`` when the
-    evaluation raises).  Swapping the dispatcher rather than guarding it
-    keeps the off path identical to the uninstrumented interpreter.
-    """
-    global _ANALYZER, _eval
-    _ANALYZER = analyzer
-    _eval = _eval_plain if analyzer is None else _eval_analyzed
-
-
 def eval_nraenv(
     plan: ast.NraeNode,
     env: Any = None,
@@ -79,7 +57,7 @@ def eval_nraenv(
     return _eval(plan, env, datum, constants)
 
 
-def _eval_plain(
+def _eval(
     plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
 ) -> Any:
     observer = _OBSERVER
@@ -186,26 +164,6 @@ def _eval_plain(
             observer.on_bag(len(env))
         return Bag(_eval(plan.body, item, datum, constants) for item in env)
     raise EvalError("unknown NRAe node %r" % (plan,))
-
-
-def _eval_analyzed(
-    plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
-) -> Any:
-    """The dispatcher installed by :func:`set_analyzer`: times every node."""
-    analyzer = _ANALYZER
-    stats = analyzer.enter(plan)
-    start = time.perf_counter()
-    try:
-        result = _eval_plain(plan, env, datum, constants)
-    except BaseException:
-        analyzer.exit_error(stats, time.perf_counter() - start)
-        raise
-    analyzer.exit(stats, time.perf_counter() - start, result)
-    return result
-
-
-#: The active dispatcher; rebound by :func:`set_analyzer`.
-_eval = _eval_plain
 
 
 def _require_bag(value: Any, op: str) -> None:

@@ -46,8 +46,13 @@ On top of the join executor this module carries three batch fast paths
   per-row on the survivors).  The same mask compiler accelerates the
   join executor's residual (non-equi) conjuncts.  Counted
   ``columnar_shape``/``columnar_fallback`` fallbacks return the node to
-  the reference row path; :func:`set_columnar_enabled` is the kill
-  switch (benchmarks use it for the columnar-vs-row ratio gate).
+  the reference row path.
+
+EXPLAIN ANALYZE is an argument, not a mode: ``eval_fast(...,
+analyzer=collector)`` routes that one call through a timing dispatcher
+(:func:`_eval_analyzed`), carried with the constants in a per-call
+:class:`_Run`.  Nothing at module level changes, so concurrent calls —
+analyzed or not — never observe each other.
 
 Correctness contract (property-tested): on any plan and inputs where
 the reference evaluator succeeds, the engine returns the same bag.  On
@@ -102,46 +107,41 @@ FALLBACK_LABELS = {
 }
 
 
-def _fallback(select: ast.Select, reason: str) -> None:
+def _fallback(select: ast.Select, reason: str, run: _Run) -> None:
     """Record one engine→reference fallback under ``engine.fallback.<reason>``.
 
     The engine used to fall back *silently*; now every ``return None``
     out of :func:`_execute_join` is counted (with its reason) in the
     active :mod:`repro.obs` metrics registry, and ``repro explain``
     surfaces the totals.  With no registry installed this is a no-op.
-    When an EXPLAIN ANALYZE collector is active, the reason is also
+    When the run carries an EXPLAIN ANALYZE collector, the reason is also
     pinned to the ``select`` node so the annotated tree can show *why*
     that node fell back, inline.
     """
     get_metrics().counter("engine.fallback." + reason).inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         analyzer.on_join(select, reason)
     return None
 
 
-def _group_fallback(plan: ast.Map, reason: str) -> None:
+def _group_fallback(plan: ast.Map, reason: str, run: _Run) -> None:
     """The group-by twin of :func:`_fallback`, pinned to the χ node."""
     get_metrics().counter("engine.fallback." + reason).inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         analyzer.on_group(plan, reason)
     return None
 
 
-def _columnar_fallback(plan: ast.NraeNode, reason: str) -> None:
+def _columnar_fallback(plan: ast.NraeNode, reason: str, run: _Run) -> None:
     """The fused-chain twin of :func:`_fallback`, pinned to the chain root."""
     get_metrics().counter("engine.fallback." + reason).inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         analyzer.on_columnar(plan, reason)
     return None
 
-
-#: Kill switch for the fused columnar executor (chains *and* the join
-#: engine's columnar residual masks).  The benchmark ratio gate flips
-#: it to compare fused-columnar against the row-at-a-time engine.
-_COLUMNAR_ENABLED = True
 
 #: Fused outputs at or above this cardinality get a derived columnar
 #: view attached (lazy column slices), so a downstream group-by or
@@ -150,50 +150,31 @@ _COLUMNAR_ENABLED = True
 _COLUMNAR_ATTACH_MIN = 32
 
 
-def set_columnar_enabled(enabled: bool) -> bool:
-    """Enable/disable fused columnar execution; returns the old value."""
-    global _COLUMNAR_ENABLED
-    previous = _COLUMNAR_ENABLED
-    _COLUMNAR_ENABLED = bool(enabled)
-    return previous
-
-
-def columnar_enabled() -> bool:
-    return _COLUMNAR_ENABLED
-
-
-#: EXPLAIN ANALYZE collector (see :mod:`repro.obs.analyze` and the
-#: twin hook in :mod:`repro.nraenv.eval`).  Enabling swaps the engine's
-#: ``_eval`` dispatcher; disabled, the hot path is untouched.
-_ANALYZER = None
-
-
-def set_analyzer(analyzer) -> None:
-    """Install (or with ``None``, remove) the EXPLAIN ANALYZE collector."""
-    global _ANALYZER, _eval
-    _ANALYZER = analyzer
-    _eval = _eval_plain if analyzer is None else _eval_analyzed
-
-
 def eval_fast(
     plan: ast.NraeNode,
     env: Any = None,
     datum: Any = None,
     constants: Optional[Mapping[str, Any]] = None,
+    *,
+    analyzer=None,
 ) -> Any:
-    """Evaluate like :func:`~repro.nraenv.eval.eval_nraenv`, with joins."""
+    """Evaluate like :func:`~repro.nraenv.eval.eval_nraenv`, with joins.
+
+    ``analyzer`` — an :class:`~repro.obs.analyze.AnalyzeCollector` —
+    receives per-node statistics for this call only (EXPLAIN ANALYZE).
+    """
     if env is None:
         env = Record({})
-    constants = constants or {}
+    run = (_Run if analyzer is None else _AnalyzedRun)(constants or {}, analyzer)
     tracer = get_tracer()
     if not tracer.enabled:
-        return _eval(plan, env, datum, constants)
+        return run.eval(plan, env, datum)
     span_args: Dict[str, Any] = {}
     query_id = current_query_id()
     if query_id is not None:
         span_args["query_id"] = query_id
     with tracer.span("engine.execute", category="engine", **span_args):
-        return _eval(plan, env, datum, constants)
+        return run.eval(plan, env, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +529,7 @@ def _compile_mask(
     return compile_expr(pred)
 
 
-def _mask_eval(entry, carrier, env, datum, constants):
+def _mask_eval(entry, carrier, env, datum, run):
     """Evaluate a compiled mask entry; returns ``(is_column, payload)``.
 
     ``payload`` is a value list aligned with the carrier's rows when
@@ -563,10 +544,10 @@ def _mask_eval(entry, carrier, env, datum, constants):
     if tag == "col":
         return True, entry[1](carrier)
     if tag == "const":
-        return False, _eval(entry[1], env, datum, constants)
+        return False, run.eval(entry[1], env, datum)
     if tag == "un":
         op = entry[1]
-        is_column, value = _mask_eval(entry[2], carrier, env, datum, constants)
+        is_column, value = _mask_eval(entry[2], carrier, env, datum, run)
         try:
             if is_column:
                 return True, [op.apply(v) for v in value]
@@ -576,8 +557,8 @@ def _mask_eval(entry, carrier, env, datum, constants):
         except Exception as exc:  # DataError
             raise EvalError(str(exc)) from exc
     op = entry[1]
-    lcol, left = _mask_eval(entry[2], carrier, env, datum, constants)
-    rcol, right = _mask_eval(entry[3], carrier, env, datum, constants)
+    lcol, left = _mask_eval(entry[2], carrier, env, datum, run)
+    rcol, right = _mask_eval(entry[3], carrier, env, datum, run)
     try:
         if isinstance(op, ops.OpEq) and lcol != rcol:
             if lcol:
@@ -776,7 +757,7 @@ def _fused_row(
 
 
 def _execute_fused(
-    plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
+    plan: ast.NraeNode, env: Any, datum: Any, run: _Run
 ) -> Optional[Bag]:
     """Execute a matched σ/χ chain as one fused pass over columns.
 
@@ -795,13 +776,13 @@ def _execute_fused(
     if matched is None:
         return None
     base_node, stages = matched
-    base_bag = _eval(base_node, env, datum, constants)
+    base_bag = run.eval(base_node, env, datum)
     if not isinstance(base_bag, Bag):
         return None  # let the reference raise its σ/χ shape error
     try:
         cb = columnar.ensure_columnar(base_bag)
     except DataError:
-        return _columnar_fallback(plan, "columnar_shape")
+        return _columnar_fallback(plan, "columnar_shape", run)
     base_rows = base_bag.items
 
     # -- static pass: column maps + mask compilation -----------------------
@@ -813,7 +794,7 @@ def _execute_fused(
         kind = stage[0]
         if kind == "alias":
             if not identity:
-                return _columnar_fallback(plan, "columnar_shape")
+                return _columnar_fallback(plan, "columnar_shape", run)
             colmap = dict(colmap)
             colmap[stage[1]] = _ROW
             identity = False
@@ -831,7 +812,7 @@ def _execute_fused(
             continue
         _, pred, env_mode = stage
         if env_mode and not isinstance(env, Record):
-            return _columnar_fallback(plan, "columnar_shape")
+            return _columnar_fallback(plan, "columnar_shape", run)
         resolve = _fused_resolver(cb, base_rows, colmap)
         visible = frozenset(colmap)
         masks: List[Any] = []
@@ -845,7 +826,7 @@ def _execute_fused(
                 compiled_any = True
         steps.append(("filter", masks, residual, env_mode, colmap, identity))
     if not compiled_any:
-        return _columnar_fallback(plan, "columnar_fallback")
+        return _columnar_fallback(plan, "columnar_fallback", run)
 
     # -- dynamic pass: one shrinking selection over the base columns -------
     selection = list(range(len(base_rows)))
@@ -872,7 +853,7 @@ def _execute_fused(
         for entry in masks:
             if not selection:
                 break
-            is_column, verdicts = _mask_eval(entry, selection, env, datum, constants)
+            is_column, verdicts = _mask_eval(entry, selection, env, datum, run)
             if not is_column:
                 if not isinstance(verdicts, bool):
                     raise EvalError(
@@ -898,7 +879,7 @@ def _execute_fused(
                     row = _fused_row(index, step_map, step_identity, cb, base_rows)
                     row_cache[index] = row
                 if all(
-                    _check(pred, row, env, constants, env_mode)
+                    _check(pred, row, env, run, env_mode)
                     for pred in residual
                 ):
                     kept.append(index)
@@ -925,10 +906,12 @@ def _execute_fused(
                 cb, tuple(selection), colmap, tuple(out_rows)
             )
     get_metrics().counter("engine.columnar").inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         analyzer.on_columnar(plan, None)
-        analyzer.add_input(plan, len(base_rows))
+        if plan.input is not base_node:
+            # a base read directly was already credited by its frame exit
+            analyzer.add_input(plan, len(base_rows))
     return result
 
 
@@ -955,9 +938,9 @@ class _Relation:
 
 
 def _materialise(
-    plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
+    plan: ast.NraeNode, env: Any, datum: Any, run: _Run
 ) -> Optional[_Relation]:
-    value = _eval(plan, env, datum, constants)
+    value = run.eval(plan, env, datum)
     if not isinstance(value, Bag):
         raise EvalError("× expects a bag, got %r" % (value,))
     rows: List[Record] = []
@@ -976,14 +959,14 @@ def _materialise(
 
 
 def _check(
-    pred: ast.NraeNode, row: Record, env: Any, constants, env_mode: bool
+    pred: ast.NraeNode, row: Record, env: Any, run: _Run, env_mode: bool
 ) -> bool:
     if env_mode:
         if not isinstance(env, Record):
             raise EvalError("row environment requires a record env, got %r" % (env,))
-        verdict = _eval(pred, env.concat(row), row, constants)
+        verdict = run.eval(pred, env.concat(row), row)
     else:
-        verdict = _eval(pred, env, row, constants)
+        verdict = run.eval(pred, env, row)
     if not isinstance(verdict, bool):
         raise EvalError("σ predicate returned non-boolean %r" % (verdict,))
     return verdict
@@ -1025,7 +1008,7 @@ def _hoist_uncorrelated(
     pred: ast.NraeNode,
     env: Any,
     datum: Any,
-    constants: Mapping[str, Any],
+    run: _Run,
     env_mode: bool,
     env_domain: FrozenSet[str],
     union_fields: FrozenSet[str],
@@ -1056,7 +1039,7 @@ def _hoist_uncorrelated(
             if field in env_domain and field in union_fields:
                 return None  # the row may shadow an outer field: correlated
     try:
-        value = _eval(rhs, env, datum, constants)
+        value = run.eval(rhs, env, datum)
     except (EvalError, DataError):
         return None
     if not isinstance(value, Bag):
@@ -1093,13 +1076,11 @@ def _batch_filter(
     return None
 
 
-def _execute_join(
-    select: ast.Select, env: Any, datum: Any, constants: Mapping[str, Any]
-) -> Optional[Bag]:
+def _execute_join(select: ast.Select, env: Any, datum: Any, run: _Run) -> Optional[Bag]:
     """Execute ``σ⟨p⟩(q1 × … × qk)`` as a join, or None to fall back."""
     factors = _flatten_product(select.input)
     if len(factors) < 2:
-        return _fallback(select, "single_factor")
+        return _fallback(select, "single_factor", run)
     predicate = select.pred
     env_mode = False
     if (
@@ -1113,16 +1094,16 @@ def _execute_join(
         env_mode = True
         predicate = predicate.after
         if not isinstance(env, Record):
-            return _fallback(select, "env_not_record")
+            return _fallback(select, "env_not_record", run)
     conjuncts = [_Conjunct(pred, env_mode) for pred in _conjuncts(predicate)]
 
-    relations = [_materialise(f, env, datum, constants) for f in factors]
+    relations = [_materialise(f, env, datum, run) for f in factors]
     owners = _owner_map(relations)
     union_fields = frozenset().union(*(r.union_domain for r in relations))
     outer_fields = frozenset(env.domain()) if isinstance(env, Record) else frozenset()
     for position, conjunct in enumerate(conjuncts):
         hoisted = _hoist_uncorrelated(
-            conjunct.pred, env, datum, constants, env_mode, outer_fields, union_fields
+            conjunct.pred, env, datum, run, env_mode, outer_fields, union_fields
         )
         if hoisted is not None:
             # re-analyse: the Const right side frees the conjunct from
@@ -1141,12 +1122,12 @@ def _execute_join(
                     and field not in relations[i].domain
                     for i in range(len(relations))
                 ):
-                    return _fallback(select, "ambiguous_field")
+                    return _fallback(select, "ambiguous_field", run)
             elif env_mode and field in outer_fields and field not in union_fields:
                 # an outer-environment read, constant across rows — fine
                 pass
             else:
-                return _fallback(select, "unresolved_field")
+                return _fallback(select, "unresolved_field", run)
         if conjunct.equality is not None:
             f_path, g_path = conjunct.equality
             if f_path[0] not in owners or g_path[0] not in owners:
@@ -1208,7 +1189,7 @@ def _execute_join(
             else:
                 kept = batch.filter_equal(partial.rows, keys, payload)
             return _Partial(partial.indices, kept)
-        if _COLUMNAR_ENABLED and not conjunct.whole_row and partial.rows:
+        if not conjunct.whole_row and partial.rows:
             entry = conjunct.columnar
             if entry is _UNSET:
                 entry = _compile_mask(
@@ -1217,7 +1198,7 @@ def _execute_join(
                 conjunct.columnar = entry
             if entry is not None:
                 is_column, verdicts = _mask_eval(
-                    entry, partial, env, datum, constants
+                    entry, partial, env, datum, run
                 )
                 if not is_column:
                     if not isinstance(verdicts, bool):
@@ -1235,7 +1216,7 @@ def _execute_join(
                         if verdict:
                             kept.append(row)
                 get_metrics().counter("engine.columnar_filter").inc()
-                analyzer = _ANALYZER
+                analyzer = run.analyzer
                 if analyzer is not None:
                     analyzer.on_columnar(select, None)
                 return _Partial(partial.indices, kept)
@@ -1246,7 +1227,7 @@ def _execute_join(
                 conjunct.pred,
                 _assemble(partial.indices, row),
                 env,
-                constants,
+                run,
                 env_mode,
             )
         ]
@@ -1352,10 +1333,10 @@ def _execute_join(
             records = [
                 row
                 for row in records
-                if _check(conjunct.pred, row, env, constants, env_mode)
+                if _check(conjunct.pred, row, env, run, env_mode)
             ]
     get_metrics().counter("engine.join").inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         # The join consumed the factors directly (the Product node never
         # ran): report the hash-join path and the true input cardinality
@@ -1484,7 +1465,7 @@ def _execute_group_by(
     spec: _GroupBy,
     env: Any,
     datum: Any,
-    constants: Mapping[str, Any],
+    run: _Run,
 ) -> Optional[Bag]:
     """One-pass physical group-by for a matched derived encoding.
 
@@ -1509,10 +1490,10 @@ def _execute_group_by(
         or info.whole_env
         or spec.key_env_field in info.env_reads
     ):
-        return _group_fallback(plan, "group_shape")
-    source = _eval(spec.source, env, datum, constants)
+        return _group_fallback(plan, "group_shape", run)
+    source = run.eval(spec.source, env, datum)
     if not isinstance(source, Bag):
-        return _group_fallback(plan, "group_shape")
+        return _group_fallback(plan, "group_shape", run)
     # right-biased effective key: a repeated output name keeps the last
     # source field, but the shadowed fields must still exist on every
     # row (the reference key projection reads them before ⊕ drops them)
@@ -1522,7 +1503,7 @@ def _execute_group_by(
     bucket_fields = list(effective.values())
     last = {name: i for i, (name, _) in enumerate(spec.key_fields)}
     extra = [f for i, (name, f) in enumerate(spec.key_fields) if last[name] != i]
-    cb = columnar.cached_columnar(source) if _COLUMNAR_ENABLED else None
+    cb = columnar.cached_columnar(source)
     try:
         if cb is not None and all(
             cb.has_field(f) and not cb.has_missing(f)
@@ -1538,7 +1519,7 @@ def _execute_group_by(
                         kernel.field_key(row, field)
             buckets = batch.group_rows(source.items, bucket_fields)
     except DataError:
-        return _group_fallback(plan, "group_shape")
+        return _group_fallback(plan, "group_shape", run)
     partition = spec.partition_field
     out = []
     for rows in buckets.values():
@@ -1547,7 +1528,7 @@ def _execute_group_by(
         group[partition] = batch.partition_bag(rows)
         out.append(Record(group))
     get_metrics().counter("engine.group_by").inc()
-    analyzer = _ANALYZER
+    analyzer = run.analyzer
     if analyzer is not None:
         analyzer.on_group(plan, None)
         analyzer.add_input(plan, len(source.items))
@@ -1559,32 +1540,30 @@ def _execute_group_by(
 # ---------------------------------------------------------------------------
 
 
-def _eval_plain(
-    plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
-) -> Any:
+def _eval_plain(run: _Run, plan: ast.NraeNode, env: Any, datum: Any) -> Any:
     if isinstance(plan, ast.Select) and isinstance(plan.input, ast.Product):
-        result = _execute_join(plan, env, datum, constants)
+        result = _execute_join(plan, env, datum, run)
         if result is not None:
             return result
-    elif _COLUMNAR_ENABLED and isinstance(plan, ast.Select):
-        result = _execute_fused(plan, env, datum, constants)
+    elif isinstance(plan, ast.Select):
+        result = _execute_fused(plan, env, datum, run)
         if result is not None:
             return result
     # Structural recursion mirroring the reference semantics but looping
     # through this evaluator (so nested σ-× shapes also get the engine).
     if isinstance(plan, ast.App):
-        return _eval(plan.after, env, _eval(plan.before, env, datum, constants), constants)
+        return run.eval(plan.after, env, run.eval(plan.before, env, datum))
     if isinstance(plan, ast.AppEnv):
-        return _eval(plan.after, _eval(plan.before, env, datum, constants), datum, constants)
+        return run.eval(plan.after, run.eval(plan.before, env, datum), datum)
     if isinstance(plan, ast.Unop):
-        value = _eval(plan.arg, env, datum, constants)
+        value = run.eval(plan.arg, env, datum)
         try:
             return plan.op.apply(value)
         except Exception as exc:  # DataError
             raise EvalError(str(exc)) from exc
     if isinstance(plan, ast.Binop):
-        left = _eval(plan.left, env, datum, constants)
-        right = _eval(plan.right, env, datum, constants)
+        left = run.eval(plan.left, env, datum)
+        right = run.eval(plan.right, env, datum)
         try:
             return plan.op.apply(left, right)
         except Exception as exc:
@@ -1593,17 +1572,17 @@ def _eval_plain(
         if _is_group_candidate(plan):
             spec = _match_group_by(plan)
             if spec is None:
-                _group_fallback(plan, "group_pattern")
+                _group_fallback(plan, "group_pattern", run)
             else:
-                result = _execute_group_by(plan, spec, env, datum, constants)
+                result = _execute_group_by(plan, spec, env, datum, run)
                 if result is not None:
                     return result
-        elif _COLUMNAR_ENABLED and isinstance(plan.input, (ast.Select, ast.Map)):
+        elif isinstance(plan.input, (ast.Select, ast.Map)):
             # a χ rooting a fusable chain (projection/alias over σ stages)
-            result = _execute_fused(plan, env, datum, constants)
+            result = _execute_fused(plan, env, datum, run)
             if result is not None:
                 return result
-        source = _eval(plan.input, env, datum, constants)
+        source = run.eval(plan.input, env, datum)
         if not isinstance(source, Bag):
             raise EvalError("χ expects a bag, got %r" % (source,))
         body = plan.body
@@ -1619,62 +1598,60 @@ def _eval_plain(
                 return Bag(batch.project_records(source.items, projection))
             except DataError as exc:
                 raise EvalError(str(exc)) from exc
-        return Bag(_eval(plan.body, env, item, constants) for item in source)
+        return Bag(run.eval(plan.body, env, item) for item in source)
     if isinstance(plan, ast.Select):
-        source = _eval(plan.input, env, datum, constants)
+        source = run.eval(plan.input, env, datum)
         if not isinstance(source, Bag):
             raise EvalError("σ expects a bag, got %r" % (source,))
         kept = []
         for item in source:
-            verdict = _eval(plan.pred, env, item, constants)
+            verdict = run.eval(plan.pred, env, item)
             if not isinstance(verdict, bool):
                 raise EvalError("σ predicate returned non-boolean %r" % (verdict,))
             if verdict:
                 kept.append(item)
         return Bag(kept)
     if isinstance(plan, ast.Product):
-        left = _eval(plan.left, env, datum, constants)
+        left = run.eval(plan.left, env, datum)
         if not isinstance(left, Bag):
             raise EvalError("× expects a bag, got %r" % (left,))
         if not left:
             return Bag([])
-        right = _eval(plan.right, env, datum, constants)
+        right = run.eval(plan.right, env, datum)
         if not isinstance(right, Bag):
             raise EvalError("× expects a bag, got %r" % (right,))
         return _product(left, right)
     if isinstance(plan, ast.DepJoin):
-        source = _eval(plan.input, env, datum, constants)
+        source = run.eval(plan.input, env, datum)
         if not isinstance(source, Bag):
             raise EvalError("⋈d expects a bag, got %r" % (source,))
         out = []
         for item in source:
-            dependent = _eval(plan.body, env, item, constants)
+            dependent = run.eval(plan.body, env, item)
             if not isinstance(dependent, Bag):
                 raise EvalError("⋈d body expects a bag, got %r" % (dependent,))
             out.extend(_product(Bag([item]), dependent).items)
         return Bag(out)
     if isinstance(plan, ast.Default):
-        left = _eval(plan.left, env, datum, constants)
+        left = run.eval(plan.left, env, datum)
         if isinstance(left, Bag) and not left:
-            return _eval(plan.right, env, datum, constants)
+            return run.eval(plan.right, env, datum)
         return left
     if isinstance(plan, ast.MapEnv):
         if not isinstance(env, Bag):
             raise EvalError("χe requires a bag environment, got %r" % (env,))
-        return Bag(_eval(plan.body, item, datum, constants) for item in env)
+        return Bag(run.eval(plan.body, item, datum) for item in env)
     # leaves: delegate to the reference evaluator
-    return eval_nraenv(plan, env, datum, constants)
+    return eval_nraenv(plan, env, datum, run.constants)
 
 
-def _eval_analyzed(
-    plan: ast.NraeNode, env: Any, datum: Any, constants: Mapping[str, Any]
-) -> Any:
-    """The dispatcher installed by :func:`set_analyzer`: times every node."""
-    analyzer = _ANALYZER
+def _eval_analyzed(run: _Run, plan: ast.NraeNode, env: Any, datum: Any) -> Any:
+    """The dispatcher of an analyzed run: times every node."""
+    analyzer = run.analyzer
     stats = analyzer.enter(plan)
     start = time.perf_counter()
     try:
-        result = _eval_plain(plan, env, datum, constants)
+        result = _eval_plain(run, plan, env, datum)
     except BaseException:
         analyzer.exit_error(stats, time.perf_counter() - start)
         raise
@@ -1682,8 +1659,27 @@ def _eval_analyzed(
     return result
 
 
-#: The active dispatcher; rebound by :func:`set_analyzer`.
-_eval = _eval_plain
+class _Run:
+    """One :func:`eval_fast` call: its constants, analyzer and dispatcher.
+
+    Every internal function takes the run where the reference evaluator
+    takes ``constants``, and recurses through the ``run.eval`` method —
+    the plain dispatcher here, the timing one on :class:`_AnalyzedRun`.
+    """
+
+    __slots__ = ("constants", "analyzer")
+
+    eval = _eval_plain
+
+    def __init__(self, constants: Mapping[str, Any], analyzer=None):
+        self.constants = constants
+        self.analyzer = analyzer
+
+
+class _AnalyzedRun(_Run):
+    __slots__ = ()
+
+    eval = _eval_analyzed
 
 
 def _product(left: Bag, right: Bag) -> Bag:

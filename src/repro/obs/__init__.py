@@ -46,7 +46,6 @@ from repro.obs.analyze import (
     AnalyzeCollector,
     NodeStats,
     analysis_summary,
-    analyze_execution,
     analyze_json,
     calibration_data,
     calibration_report,
@@ -118,7 +117,6 @@ __all__ = [
     "TraceRing",
     "Tracer",
     "analysis_summary",
-    "analyze_execution",
     "analyze_json",
     "calibration_data",
     "calibration_report",

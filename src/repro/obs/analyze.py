@@ -12,19 +12,12 @@ closes the loop by rank-correlating the structural
 Overhead discipline
 -------------------
 
-Unlike the PR 2 observer (a per-node ``is None`` guard), enabling
-analysis *swaps the evaluator's dispatcher*: ``set_analyzer`` in
-:mod:`repro.nraenv.eval` / :mod:`repro.nraenv.exec` rebinds the
-module-global ``_eval`` between the untouched plain function and a
-timing wrapper.  Disabled, the hot path is byte-for-byte the original
-interpreter — zero added work, not even a branch — which is what lets
-CI enforce a <3% off-path overhead bound
-(``benchmarks/bench_analyze_overhead.py``).
-
-Because the dispatcher is module-global state, analyzed executions are
-serialized by a module lock (:func:`analyze_execution`).  The service
-is unaffected: its non-analyzed queries run compiled NNRC callables
-that never touch these dispatchers.
+Analysis is a per-call argument: ``eval_fast(plan, env, datum,
+constants, analyzer=AnalyzeCollector())``.  The engine picks its timing
+dispatcher for that call only and carries it (with the collector) in a
+per-call run object, so an unanalyzed call runs the plain dispatcher
+with no extra work, and concurrent calls — analyzed or not — never
+share a collector.  No lock and no module-level switch is involved.
 
 This module deliberately imports no AST classes at module level (the
 evaluators import :mod:`repro.obs`, so importing them back here would
@@ -34,8 +27,6 @@ cost-model imports happen lazily inside functions.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.data.model import Bag
@@ -177,8 +168,7 @@ class AnalyzeCollector(object):
     (only for children the parent consumes as input bags) and child
     time to the parent's ``child_seconds``.
 
-    Not thread-safe by itself — :func:`analyze_execution` serializes
-    analyzed executions under a module lock.
+    One collector serves one execution: it is not shared across threads.
     """
 
     def __init__(self) -> None:
@@ -297,43 +287,6 @@ class AnalyzeCollector(object):
             }
             for s in ranked[:n]
         ]
-
-
-#: Serializes analyzed executions: the analyzer is module-global state
-#: in the evaluators, so two concurrent analyzed runs would interleave
-#: their frame stacks.
-_ANALYZE_LOCK = threading.Lock()
-
-
-@contextmanager
-def analyze_execution(collector: Optional[AnalyzeCollector] = None, engine: bool = True):
-    """Run the body with EXPLAIN ANALYZE collection enabled.
-
-    ``engine=True`` instruments :func:`repro.nraenv.exec.eval_fast`
-    (which already covers the leaf nodes it delegates to the reference
-    evaluator); ``engine=False`` instruments
-    :func:`repro.nraenv.eval.eval_nraenv` instead.  Installing on both
-    would double-count the delegated leaves, so exactly one dispatcher
-    is swapped.
-
-    Yields the collector.  Analyzed executions are serialized process-
-    wide by a module lock (the analyzer is module-global evaluator
-    state).  Concurrent *non-analyzed* work is only affected if it runs
-    these same evaluators while the swap is live — the service's plain
-    query path executes compiled NNRC callables and never does.
-    """
-    if engine:
-        from repro.nraenv import exec as target
-    else:
-        from repro.nraenv import eval as target
-    if collector is None:
-        collector = AnalyzeCollector()
-    with _ANALYZE_LOCK:
-        target.set_analyzer(collector)
-        try:
-            yield collector
-        finally:
-            target.set_analyzer(None)
 
 
 # ---------------------------------------------------------------------------

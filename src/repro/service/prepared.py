@@ -115,18 +115,19 @@ class CompiledPlan:
 
         Executes the *optimized NRAe plan* through the join engine with
         per-node statistics collection — slower than the compiled
-        callable (and serialized process-wide), so strictly an opt-in
-        diagnostic path.  The summary includes the annotated plan tree.
+        callable, so strictly an opt-in diagnostic path.  The collector
+        belongs to this call alone, so concurrent analyzed requests do
+        not interfere.  The summary includes the annotated plan tree.
         """
         from repro.data.model import Record
         from repro.nraenv.exec import eval_fast
-        from repro.obs.analyze import analysis_summary, analyze_execution
+        from repro.obs.analyze import AnalyzeCollector, analysis_summary
 
         if self.nraenv is None:
             raise BadRequest("plan was compiled without its NRAe stage; cannot analyze")
         bound = self.bind(constants, params)
-        with analyze_execution() as collector:
-            value = eval_fast(self.nraenv, Record({}), None, bound)
+        collector = AnalyzeCollector()
+        value = eval_fast(self.nraenv, Record({}), None, bound, analyzer=collector)
         return value, analysis_summary(collector, self.nraenv)
 
 

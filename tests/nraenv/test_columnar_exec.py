@@ -20,11 +20,7 @@ from repro.data.model import Bag, Record, bag, rec
 from repro.nraenv import ast
 from repro.nraenv import builders as b
 from repro.nraenv.eval import EvalError, eval_nraenv
-from repro.nraenv.exec import (
-    columnar_enabled,
-    eval_fast,
-    set_columnar_enabled,
-)
+from repro.nraenv.exec import eval_fast
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 from tests.strategies import values
@@ -222,19 +218,6 @@ class TestFallbacks:
         with pytest.raises(EvalError):
             eval_nraenv(plan, Record({}), None, DB)
 
-    def test_kill_switch(self):
-        plan = b.sigma(b.lt(b.dot(b.id_(), "a"), b.const(3)), b.table("R"))
-        previous = set_columnar_enabled(False)
-        try:
-            assert not columnar_enabled()
-            result, counts = run_counted(plan)
-            assert len(result) == 3
-            assert "engine.columnar" not in counts
-            assert not any(name.startswith("engine.fallback.") for name in counts)
-        finally:
-            set_columnar_enabled(previous)
-        assert columnar_enabled() == previous
-
 
 class TestJoinResidualMasks:
     def test_non_equi_residual_compiles_to_mask(self):
@@ -249,20 +232,6 @@ class TestJoinResidualMasks:
         # cross-check contents: a=c joins, then d>b keeps the c=2 pairs
         expected = eval_nraenv(plan, Record({}), None, DB)
         assert result == expected and len(result) == 2
-
-    def test_join_masks_disabled_with_kill_switch(self):
-        pred = b.and_(
-            b.eq(b.dot(b.id_(), "a"), b.dot(b.id_(), "c")),
-            b.gt(b.dot(b.id_(), "d"), b.dot(b.id_(), "b")),
-        )
-        plan = b.sigma(pred, b.product(b.table("R"), b.table("S")))
-        previous = set_columnar_enabled(False)
-        try:
-            result, counts = run_counted(plan)
-            assert counts.get("engine.join") == 1
-            assert "engine.columnar_filter" not in counts
-        finally:
-            set_columnar_enabled(previous)
 
 
 class TestGroupByColumnar:

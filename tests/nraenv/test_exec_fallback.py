@@ -12,7 +12,7 @@ import pytest
 from repro.data.model import Bag, Record, bag, rec
 from repro.nraenv import builders as b
 from repro.nraenv.eval import eval_nraenv
-from repro.nraenv.exec import FALLBACK_REASONS, _execute_join, eval_fast
+from repro.nraenv.exec import FALLBACK_REASONS, _execute_join, _Run, eval_fast
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 DB = {
@@ -58,7 +58,7 @@ class TestFallbackCounters:
         plan = b.sigma(b.gt(b.dot(b.id_(), "a"), b.const(1)), b.table("R"))
         registry = MetricsRegistry()
         with use_metrics(registry):
-            assert _execute_join(plan, Record({}), None, DB) is None
+            assert _execute_join(plan, Record({}), None, _Run(DB)) is None
         assert counters(registry) == {"engine.fallback.single_factor": 1}
 
     def test_env_not_record(self):
@@ -66,7 +66,7 @@ class TestFallbackCounters:
         plan = b.sigma(pred, b.product(b.table("R"), b.table("S")))
         registry = MetricsRegistry()
         with use_metrics(registry):
-            assert _execute_join(plan, bag(1), None, DB) is None
+            assert _execute_join(plan, bag(1), None, _Run(DB)) is None
         assert counters(registry) == {"engine.fallback.env_not_record": 1}
 
     def test_ambiguous_field(self):
@@ -88,7 +88,7 @@ class TestFallbackCounters:
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
-            assert _execute_join(plan, Record({}), None, DB) is None
+            assert _execute_join(plan, Record({}), None, _Run(DB)) is None
         assert counters(registry) == {"engine.fallback.unresolved_field": 1}
 
     def test_reasons_enumeration_is_exact(self):
@@ -104,15 +104,15 @@ class TestFallbackCounters:
         called = set()
         for reason in FALLBACK_REASONS:
             if (
-                '_fallback(select, "%s")' % reason in source
-                or '_group_fallback(plan, "%s")' % reason in source
-                or '_columnar_fallback(plan, "%s")' % reason in source
+                '_fallback(select, "%s", run)' % reason in source
+                or '_group_fallback(plan, "%s", run)' % reason in source
+                or '_columnar_fallback(plan, "%s", run)' % reason in source
             ):
                 called.add(reason)
         assert called == set(FALLBACK_REASONS)
         join_source = inspect.getsource(engine._execute_join)
         for reason in ("group_pattern", "group_shape"):
-            assert '_fallback(select, "%s")' % reason not in join_source
+            assert '_fallback(select, "%s", run)' % reason not in join_source
 
     def test_labels_cover_all_reasons(self):
         from repro.nraenv.exec import FALLBACK_LABELS

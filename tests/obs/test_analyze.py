@@ -4,10 +4,13 @@ Two families: unit tests for the collector/renderers on hand-built
 plans, and hypothesis properties pinning the two invariants that make
 the numbers trustworthy — an analyzed execution returns the *same
 multiset* as a plain one, and a parent's reported input cardinality
-equals its input children's reported output cardinality.
+equals its input children's reported output cardinality.  Analysis is
+a per-call argument, so concurrent calls must not see each other.
 """
 
+import inspect
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +18,11 @@ from hypothesis import strategies as st
 
 from repro.data.model import Bag, Record, bag, rec
 from repro.nraenv import builders as b
-from repro.nraenv import eval as nraenv_eval
-from repro.nraenv import exec as engine
-from repro.nraenv.eval import EvalError, eval_nraenv
+from repro.nraenv.eval import EvalError
 from repro.nraenv.exec import eval_fast
 from repro.obs.analyze import (
     AnalyzeCollector,
-    NodeStats,
     analysis_summary,
-    analyze_execution,
     calibration_report,
     node_label,
     render_analyze,
@@ -34,6 +33,15 @@ DB = {
     "R": bag(rec(a=1, b=10), rec(a=2, b=20), rec(a=3, b=30)),
     "S": bag(rec(c=1, d="x"), rec(c=2, d="y"), rec(c=2, d="z")),
 }
+
+
+def analyzed(plan, env=None, datum=None, constants=DB):
+    """Run ``plan`` on the engine with a fresh collector: (result, collector)."""
+    collector = AnalyzeCollector()
+    result = eval_fast(
+        plan, env if env is not None else Record({}), datum, constants, analyzer=collector
+    )
+    return result, collector
 
 
 def join_plan():
@@ -142,8 +150,7 @@ class TestCollector:
 class TestAnalyzedExecution:
     def test_hash_join_reported_inline(self):
         plan = join_plan()
-        with analyze_execution() as collector:
-            result = eval_fast(plan, Record({}), None, DB)
+        result, collector = analyzed(plan)
         assert len(result) == 3
         select = collector.stats_for(plan)
         assert select.hash_joins == 1
@@ -162,8 +169,7 @@ class TestAnalyzedExecution:
             b.gt(b.dot(b.id_(), "b"), b.const(1)),
             b.product(b.table("R"), b.table("H")),
         )
-        with analyze_execution() as collector:
-            result = eval_fast(plan, Record({}), None, constants)
+        result, collector = analyzed(plan, constants=constants)
         assert len(result) == 6
         stats = collector.stats_for(plan)
         assert stats.fallbacks == {"ambiguous_field": 1}
@@ -171,38 +177,103 @@ class TestAnalyzedExecution:
         rendering = render_analyze(plan, collector)
         assert "fallback: 1x ambiguous field across factors" in rendering
 
-    def test_reference_evaluator_mode(self):
-        plan = b.chi(b.dot(b.id_(), "a"), b.table("R"))
-        with analyze_execution(engine=False) as collector:
-            result = eval_nraenv(plan, Record({}), None, DB)
-        assert result == Bag([1, 2, 3])
+    def test_map_body_runs_per_row(self):
+        # a body the batch map cannot take, so it runs once per row
+        plan = b.chi(b.add(b.dot(b.id_(), "a"), b.const(1)), b.table("R"))
+        result, collector = analyzed(plan)
+        assert result == Bag([2, 3, 4])
         stats = collector.stats_for(plan)
         assert stats.calls == 1
         assert stats.in_rows == 3
         assert stats.out_rows == 3
-        # the body ran once per row
-        body = collector.stats_for(plan.body)
-        assert body.calls == 3
+        assert collector.stats_for(plan.body).calls == 3
+
+    def test_fused_chain_counts_direct_base_once(self):
+        table = Bag([rec(a=i % 5, b=i) for i in range(40)])
+        plan = b.sigma(b.lt(b.dot(b.id_(), "a"), b.const(3)), b.table("R"))
+        result, collector = analyzed(plan, constants={"R": table})
+        assert len(result) == 24
+        stats = collector.stats_for(plan)
+        assert stats.columnar == 1
+        assert stats.in_rows == 40
+        assert "in=40 " in render_analyze(plan, collector)
+
+    def test_fused_chain_credits_indirect_base(self):
+        # σ over the scan alias: the base runs under the σ frame, not
+        # as its direct input, so the fused pass credits it explicitly
+        table = Bag([rec(a=i % 5, b=i) for i in range(40)])
+        alias = b.chi(b.concat(b.id_(), b.rec_field("t", b.id_())), b.table("R"))
+        plan = b.sigma(b.lt(b.dots(b.id_(), "t", "a"), b.const(3)), alias)
+        result, collector = analyzed(plan, constants={"R": table})
+        assert len(result) == 24
+        stats = collector.stats_for(plan)
+        assert stats.columnar == 1
+        assert stats.in_rows == 40
 
     def test_dispatchers_restored_after_error(self):
         plan = b.dot(b.const(5), "a")  # Dot over a non-record raises
-        with analyze_execution() as collector:
-            with pytest.raises(EvalError):
-                eval_fast(plan, Record({}), None, DB)
-        assert engine._eval is engine._eval_plain
-        assert nraenv_eval._eval is nraenv_eval._eval_plain
+        collector = AnalyzeCollector()
+        with pytest.raises(EvalError):
+            eval_fast(plan, Record({}), None, DB, analyzer=collector)
         assert collector.stats_for(plan).errors == 1
+        assert collector._stack == []
+        # the next, unanalyzed call reports nothing to that collector
+        before = {key: stats.calls for key, stats in collector.stats.items()}
+        eval_fast(join_plan(), Record({}), None, DB)
+        assert {key: stats.calls for key, stats in collector.stats.items()} == before
 
     def test_disabled_by_default(self):
-        assert engine._eval is engine._eval_plain
-        assert nraenv_eval._eval is nraenv_eval._eval_plain
+        # the four positional arguments stay; analysis is keyword-only
+        params = inspect.signature(eval_fast).parameters
+        assert list(params)[:4] == ["plan", "env", "datum", "constants"]
+        assert params["analyzer"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["analyzer"].default is None
+
+
+class TestConcurrency:
+    def test_analyzed_call_ignores_concurrent_plain_calls(self):
+        big = Bag([rec(a=i % 7, b=i) for i in range(400)])
+        constants = dict(DB, B=big)
+        plan_a = b.chi(b.add(b.dot(b.id_(), "b"), b.const(1)), b.table("B"))
+        plan_b = b.sigma(
+            b.eq(b.dot(b.id_(), "a"), b.dot(b.id_(), "c")),
+            b.product(b.table("R"), b.table("S")),
+        )
+        expected_a = eval_fast(plan_a, Record({}), None, constants)
+        expected_b = eval_fast(plan_b, Record({}), None, constants)
+        started, done = threading.Event(), threading.Event()
+        b_results = []
+
+        def loop_b():
+            while not done.is_set():
+                b_results.append(eval_fast(plan_b, Record({}), None, constants))
+                started.set()
+
+        worker = threading.Thread(target=loop_b)
+        worker.start()
+        try:
+            started.wait(10)
+            collector = AnalyzeCollector()
+            runs_before = len(b_results)
+            for _ in range(20):
+                result_a = eval_fast(
+                    plan_a, Record({}), None, constants, analyzer=collector
+                )
+                assert result_a == expected_a
+            runs_during = len(b_results) - runs_before
+        finally:
+            done.set()
+            worker.join()
+        assert runs_during > 0, "the plain loop never overlapped the analyzed runs"
+        assert all(result == expected_b for result in b_results)
+        b_ids = {id(node) for node in plan_b.walk()}
+        assert not b_ids & set(collector.stats)
+        assert collector.stats_for(plan_a).calls == 20
 
 
 class TestRendering:
     def run_analyzed(self, plan):
-        with analyze_execution() as collector:
-            eval_fast(plan, Record({}), None, DB)
-        return collector
+        return analyzed(plan)[1]
 
     def test_render_covers_every_node(self):
         plan = join_plan()
@@ -256,39 +327,21 @@ class TestProperties:
         try:
             expected = eval_fast(plan, env, datum, constants)
         except EvalError:
-            with analyze_execution():
-                with pytest.raises(EvalError):
-                    eval_fast(plan, env, datum, constants)
+            with pytest.raises(EvalError):
+                analyzed(plan, env, datum, constants)
             return
-        with analyze_execution() as collector:
-            analyzed = eval_fast(plan, env, datum, constants)
-        assert analyzed == expected
+        result, collector = analyzed(plan, env, datum, constants)
+        assert result == expected
         assert collector.stats_for(plan).calls >= 1
-
-    @given(st.integers(min_value=0, max_value=1_000_000))
-    @settings(max_examples=120, deadline=None)
-    def test_analyzed_reference_matches_plain(self, seed):
-        rng = random.Random(seed)
-        plan = gen_plan(rng, "any", depth=3)
-        env = random_environment(rng)
-        datum = random_datum(rng)
-        constants = random_constants(rng)
-        try:
-            expected = eval_nraenv(plan, env, datum, constants)
-        except EvalError:
-            return
-        with analyze_execution(engine=False):
-            analyzed = eval_nraenv(plan, env, datum, constants)
-        assert analyzed == expected
 
     @given(st.integers(min_value=0, max_value=1_000_000))
     @settings(max_examples=120, deadline=None)
     def test_parent_input_equals_child_output(self, seed):
         """in_rows a parent reports == out_rows its input children report.
 
-        Checked under the reference evaluator, where every input bag
-        flows through the frame protocol (the join engine credits the
-        fused σ(×) input via add_input instead, bypassing the frames).
+        Checked on the engine.  Hash joins, physical group-bys and fused
+        columnar chains consume their inputs outside the frame protocol
+        and credit them with ``add_input``, so those nodes are exempt.
         """
         rng = random.Random(seed)
         plan = gen_plan(rng, "bag", depth=3)
@@ -296,12 +349,13 @@ class TestProperties:
         datum = random_datum(rng)
         constants = random_constants(rng)
         try:
-            with analyze_execution(engine=False) as collector:
-                eval_nraenv(plan, env, datum, constants)
+            _, collector = analyzed(plan, env, datum, constants)
         except EvalError:
             return
         for stats in collector.stats.values():
             if not stats.input_ids:
+                continue
+            if stats.hash_joins or stats.group_bys or stats.columnar:
                 continue
             reported = sum(
                 collector.stats[child_id].out_rows
@@ -314,9 +368,7 @@ class TestProperties:
 class TestJsonViews:
     def run_collected(self):
         plan = join_plan()
-        with analyze_execution() as collector:
-            eval_fast(plan, Record({}), None, DB)
-        return plan, collector
+        return plan, analyzed(plan)[1]
 
     def test_analyze_json_mirrors_plan_shape(self):
         import json
@@ -344,8 +396,7 @@ class TestJsonViews:
         # σ⟨false⟩ short-circuits nothing here, but an unexecuted branch
         # comes from a plan whose subtree never runs: default(table, const)
         plan = b.sigma(b.const(False), b.table("R"))
-        with analyze_execution() as collector:
-            eval_fast(plan, Record({}), None, DB)
+        _, collector = analyzed(plan)
         document = analyze_json(plan, collector)
         stats = [document["stats"]] + [child["stats"] for child in document["children"]]
         assert any(s is not None for s in stats)

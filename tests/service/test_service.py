@@ -7,6 +7,7 @@ loop keeps answering afterwards.
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -112,6 +113,38 @@ class TestAnalyze:
         assert plain.value == analyzed.value
         assert plain.analysis is None
         assert analyzed.analysis is not None
+
+    def test_concurrent_analyzed_requests_keep_their_own_stats(self, service):
+        service.register_table("nums", [{"k": i % 7, "v": i} for i in range(2000)])
+        handles = [
+            service.prepare("sql", text).handle
+            for text in (
+                "select v from nums where k > 2",
+                "select k, sum(v) as s from nums group by k",
+            )
+        ]
+
+        def request(handle):
+            return service.handle_request(
+                {"op": "execute", "handle": handle, "analyze": True}
+            )
+
+        solo = [request(handle)["analysis"]["nodes"] for handle in handles]
+        for _ in range(3):
+            barrier = threading.Barrier(len(handles))
+            responses = [None] * len(handles)
+
+            def run(position):
+                barrier.wait()
+                responses[position] = request(handles[position])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(handles))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert all(response["ok"] for response in responses)
+            assert [response["analysis"]["nodes"] for response in responses] == solo
 
     def test_runtime_error_still_structured(self, service):
         outcome = service.query("sql", "select a from missing", analyze=True)
