@@ -240,7 +240,9 @@ def compile_to_python(nnrc_expr, name: str = "query"):
 # ``parse_source`` and ``compile_parsed`` split the textual pipelines at
 # the parse boundary: the service parses once, fingerprints the AST for
 # its plan cache (see :mod:`repro.service.plan_key`), and only pays for
-# optimization + codegen on a cache miss.
+# optimization + codegen on a cache miss.  ``front_stages`` and
+# ``lowering_stages`` split them once more at the optimized NRAe, the
+# plan a service can ship to another process instead of its source text.
 
 #: Languages the textual pipelines accept.
 LANGUAGES = ("sql", "oql", "lnra")
@@ -263,8 +265,8 @@ def parse_source(language: str, text: str) -> Any:
     raise ValueError("unknown source language %r (have %s)" % (language, LANGUAGES))
 
 
-def compile_parsed(language: str, ast: Any) -> CompilationResult:
-    """Compile an already-parsed frontend AST down to optimized NNRC."""
+def front_stages(language: str) -> List[Tuple[str, Callable[[Any], Any]]]:
+    """The front end of a textual pipeline: frontend AST → NRAe → NRAe-opt."""
     if language == "sql":
         from repro.sql.to_nraenv import sql_to_nraenv
 
@@ -277,15 +279,20 @@ def compile_parsed(language: str, ast: Any) -> CompilationResult:
         to_nraenv = lnra_to_nraenv
     else:
         raise ValueError("unknown source language %r (have %s)" % (language, LANGUAGES))
-    return run_pipeline(
-        ast,
-        [
-            (TO_NRAENV, to_nraenv),
-            (NRAENV_OPT, _opt_plan(optimize_nraenv)),
-            (TO_NNRC, nraenv_to_nnrc),
-            (NNRC_OPT, _opt_plan(optimize_nnrc)),
-        ],
-    )
+    return [(TO_NRAENV, to_nraenv), (NRAENV_OPT, _opt_plan(optimize_nraenv))]
+
+
+def lowering_stages() -> List[Tuple[str, Callable[[Any], Any]]]:
+    """The lowering tail every served plan runs: NRAe-opt → NNRC → NNRC-opt.
+
+    Built per call, so the stage functions are looked up at call time.
+    """
+    return [(TO_NNRC, nraenv_to_nnrc), (NNRC_OPT, _opt_plan(optimize_nnrc))]
+
+
+def compile_parsed(language: str, ast: Any) -> CompilationResult:
+    """Compile an already-parsed frontend AST down to optimized NNRC."""
+    return run_pipeline(ast, front_stages(language) + lowering_stages())
 
 
 def compile_source(language: str, text: str) -> CompilationResult:

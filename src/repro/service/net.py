@@ -44,7 +44,7 @@ import asyncio
 import contextvars
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.obs.context import QueryContext, query_context
@@ -313,6 +313,10 @@ class ServeNetServer:
         """Leader-first, then broadcast: every worker sees control ops in
         the same order (the lock serializes; per-worker pipes are FIFO).
 
+        A ``prepare`` compiles on the leader only: the broadcast forces
+        the leader's handle name and carries its plan artifact, which
+        each worker installs instead of re-optimizing the text.
+
         A worker that crashes around a broadcast is not retried — its
         replacement warms up from a snapshot taken *after* the leader
         applied the change, which already includes it.
@@ -324,9 +328,12 @@ class ServeNetServer:
                 msg = dict(request)
                 msg["_query_id"] = context.query_id
                 if request.get("op") == "prepare":
-                    # Force the leader's handle name in every worker.
-                    msg["_handle"] = response.get("handle")
-                await self.pool.broadcast(msg)
+                    plan = self.service.prepared(response["handle"]).plan
+                    msg["_handle"] = response["handle"]
+                    msg["_plan"] = await asyncio.get_running_loop().run_in_executor(
+                        None, plan.artifact
+                    )
+                self._absorb(await self.pool.broadcast(msg))
             return response
 
     # -- fleet supervision -------------------------------------------------
@@ -346,14 +353,27 @@ class ServeNetServer:
             except ValueError:
                 pass  # the log closed mid-drain
 
+    def _absorb(self, replies: List[Any]) -> None:
+        """Fold the metrics deltas and resource documents that broadcast
+        replies carry into the fleet view.  Each worker moved its delta
+        baseline when it replied, so a dropped reply loses its delta."""
+        for reply in replies:
+            if not isinstance(reply, dict):
+                continue
+            worker = reply.get("_worker")
+            obs = reply.get("_obs")
+            if worker is None or not isinstance(obs, dict):
+                continue
+            self.service.fleet.set_resources(worker, obs.get("resources"))
+            self.service.fleet.apply_delta(worker, obs.get("metrics"))
+
     async def _heartbeat_loop(self) -> None:
         """Poll every worker for resource gauges on a fixed cadence.
 
         Heartbeats ride the same per-worker FIFO pipes as queries, so a
         busy worker answers after its current query — the gauges are
         eventually fresh, never racing a query on the pipe.  Each reply
-        also carries any metrics delta accrued since the last ship, so
-        idle-period activity (e.g. broadcasts) reaches /metrics too.
+        also carries any metrics delta accrued since the last ship.
         """
         assert self.pool is not None
         while not self._shutdown_requested:
@@ -363,15 +383,7 @@ class ServeNetServer:
                 )
             except (asyncio.TimeoutError, RuntimeError):
                 replies = []
-            for reply in replies:
-                if not isinstance(reply, dict):
-                    continue
-                worker = reply.get("_worker")
-                obs = reply.get("_obs")
-                if worker is None or not isinstance(obs, dict):
-                    continue
-                self.service.fleet.set_resources(worker, obs.get("resources"))
-                self.service.fleet.apply_delta(worker, obs.get("metrics"))
+            self._absorb(replies)
             try:
                 await asyncio.sleep(self.heartbeat_interval)
             except asyncio.CancelledError:

@@ -6,6 +6,13 @@ a :class:`CompiledPlan` — an immutable artifact that is safe to share
 across threads and across :class:`~repro.service.prepared.PreparedQuery`
 handles (the generated callable is a pure function of ``constants``).
 
+The pipeline splits at the optimized NRAe.  :meth:`CompiledPlan.artifact`
+serialises that plan as a JSON-able dict (the NRAe as its paper §8
+S-expression), and :meth:`CompiledPlan.from_artifact` rebuilds the plan
+in another process by running only the lowering tail (NRAe → NNRC →
+NNRC-opt → codegen), the same tail ``compile_plan`` ends with.  That is
+how a worker process installs a plan its leader already optimized.
+
 Parameters: ``$name`` placeholders in SQL compile to constant-environment
 reads under the key ``"$name"`` (see :class:`repro.sql.ast.Param`), so
 binding happens at execute time by merging ``{"$name": value}`` into the
@@ -18,11 +25,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.compiler.pipeline import compile_parsed, parse_source
+from repro.compiler.pipeline import front_stages, lowering_stages, parse_source, run_pipeline
 from repro.data import json_io
 from repro.data.model import DataError
 from repro.service.errors import BadRequest, CompileError
 from repro.service.plan_key import plan_key
+from repro.sexp import dumps_plan, loads_plan
 from repro.sql import ast as sql_ast
 
 
@@ -40,38 +48,75 @@ def collect_params(node: Any) -> Tuple[str, ...]:
 
 
 class CompiledPlan:
-    """The shareable compiled artifact for one structural plan key."""
+    """The shareable compiled artifact for one structural plan key.
+
+    ``nraenv`` is the optimized NRAe plan: EXPLAIN ANALYZE runs it, and
+    :meth:`artifact` ships it.  ``callable`` is the Python lowered from it.
+    """
 
     __slots__ = (
         "language",
         "key",
-        "nnrc",
         "nraenv",
         "callable",
         "params",
         "compile_seconds",
         "timings",
+        "_artifact",
     )
 
     def __init__(
         self,
         language: str,
         key: str,
-        nnrc: Any,
+        nraenv: Any,
         fn: Any,
         params: Tuple[str, ...],
         compile_seconds: float,
         timings: Dict[str, float],
-        nraenv: Any = None,
     ):
         self.language = language
         self.key = key
-        self.nnrc = nnrc
         self.nraenv = nraenv
         self.callable = fn
         self.params = params
         self.compile_seconds = compile_seconds
         self.timings = timings
+        self._artifact: Optional[Dict[str, Any]] = None
+
+    def artifact(self) -> Dict[str, Any]:
+        """The plan as JSON-able interchange data, built once and cached.
+
+        ``{"language", "key", "params", "plan"}``, with ``plan`` the
+        optimized NRAe as :func:`repro.sexp.dumps_plan` text.  The dict
+        is never mutated, so every broadcast and snapshot shares it.
+        """
+        artifact = self._artifact
+        if artifact is None:
+            artifact = self._artifact = {
+                "language": self.language,
+                "key": self.key,
+                "params": list(self.params),
+                "plan": dumps_plan(self.nraenv),
+            }
+        return artifact
+
+    @classmethod
+    def from_artifact(cls, artifact: Dict[str, Any]) -> "CompiledPlan":
+        """Install a plan from :meth:`artifact` data without re-optimizing.
+
+        Decodes the NRAe and runs the lowering tail only.  The caller
+        checks ``artifact["key"]`` against the query it is preparing;
+        an artifact that does not decode raises :class:`CompileError`.
+        """
+        started = time.perf_counter()
+        try:
+            nraenv = loads_plan(artifact["plan"])
+            language, key = artifact["language"], artifact["key"]
+            params = tuple(artifact["params"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CompileError("malformed plan artifact: %s" % (exc,))
+        return _lower(language, key, nraenv, params, started, {})
 
     def bind(self, constants: Dict[str, Any], params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         """Merge parameter bindings into a constants snapshot."""
@@ -123,8 +168,6 @@ class CompiledPlan:
         from repro.nraenv.exec import eval_fast
         from repro.obs.analyze import AnalyzeCollector, analysis_summary
 
-        if self.nraenv is None:
-            raise BadRequest("plan was compiled without its NRAe stage; cannot analyze")
         bound = self.bind(constants, params)
         collector = AnalyzeCollector()
         value = eval_fast(self.nraenv, Record({}), None, bound, analyzer=collector)
@@ -141,31 +184,35 @@ def parse_query(language: str, text: str) -> Any:
 
 def compile_plan(language: str, ast: Any, key: Optional[str] = None) -> CompiledPlan:
     """Compile a parsed AST into a :class:`CompiledPlan` (the slow path)."""
-    from repro.backend.python_gen import compile_nnrc_to_callable
-    from repro.compiler.pipeline import NRAENV_OPT
-
     if key is None:
         key = plan_key(language, ast)
-    start = time.perf_counter()
+    started = time.perf_counter()
     try:
-        result = compile_parsed(language, ast)
-        fn = compile_nnrc_to_callable(result.final, name="served")
+        front = run_pipeline(ast, front_stages(language))
     except (ValueError, TypeError, DataError) as exc:
         raise CompileError(str(exc))
-    elapsed = time.perf_counter() - start
+    return _lower(language, key, front.final, collect_params(ast), started, front.timings())
+
+
+def _lower(
+    language: str,
+    key: str,
+    nraenv: Any,
+    params: Tuple[str, ...],
+    started: float,
+    timings: Dict[str, float],
+) -> CompiledPlan:
+    """The lowering tail: optimized NRAe → NNRC → NNRC-opt → Python."""
+    from repro.backend.python_gen import compile_nnrc_to_callable
+
     try:
-        nraenv = result.output(NRAENV_OPT)
-    except (KeyError, ValueError):
-        nraenv = None  # pipelines without an NRAe stage cannot be analyzed
+        tail = run_pipeline(nraenv, lowering_stages())
+        fn = compile_nnrc_to_callable(tail.final, name="served")
+    except (ValueError, TypeError, DataError) as exc:
+        raise CompileError(str(exc))
+    timings.update(tail.timings())
     return CompiledPlan(
-        language,
-        key,
-        result.final,
-        fn,
-        collect_params(ast),
-        elapsed,
-        result.timings(),
-        nraenv=nraenv,
+        language, key, nraenv, fn, params, time.perf_counter() - started, timings
     )
 
 

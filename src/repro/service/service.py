@@ -43,11 +43,11 @@ from repro.obs.metrics import MetricsRegistry, RateRing
 from repro.obs.trace import SamplingPolicy, TraceRing, Tracer, get_tracer, spans_to_wire
 from repro.service.cache import PlanCache
 from repro.service.catalog import Catalog
-from repro.service.errors import BadRequest, ServiceError
+from repro.service.errors import BadRequest, CompileError, ServiceError
 from repro.service.executor import Outcome, SessionExecutor
 from repro.service.fleet import Fleet
 from repro.service.plan_key import plan_key
-from repro.service.prepared import PreparedQuery, compile_plan, parse_query
+from repro.service.prepared import CompiledPlan, PreparedQuery, compile_plan, parse_query
 from repro.service.telemetry import QueryTelemetry, TelemetryLog
 
 
@@ -108,6 +108,8 @@ class QueryService:
         self._drain_guard = threading.Lock()
         self._drained = False
         self._compile_seconds = self.metrics.histogram("service.compile_ms")
+        self._installed = self.metrics.counter("service.plan.installed")
+        self._artifact_mismatch = self.metrics.counter("service.plan.artifact_mismatch")
 
     # -- catalog ----------------------------------------------------------
 
@@ -120,33 +122,57 @@ class QueryService:
     # -- prepare / execute ------------------------------------------------
 
     def prepare(
-        self, language: str, text: str, handle: Optional[str] = None
+        self,
+        language: str,
+        text: str,
+        handle: Optional[str] = None,
+        plan: Optional[Dict[str, Any]] = None,
     ) -> PreparedQuery:
         """Compile ``text`` once (or reuse a cached plan) and hand out a handle.
 
         Raises :class:`~repro.service.errors.CompileError` on bad queries;
         the wire layer turns that into a structured response.  ``handle``
         forces a specific handle name instead of drawing from the
-        counter — the warm-up-replay hook worker processes use to mirror
-        the leader's handle space exactly (a forced handle replaces any
-        existing entry under that name).
+        counter, and ``plan`` is the leader's
+        :meth:`~repro.service.prepared.CompiledPlan.artifact` for
+        ``text`` — the pair worker processes use to mirror the leader's
+        handles without re-optimizing (a forced handle replaces any
+        existing entry under that name).  ``text`` is still parsed: on a
+        plan-cache miss the artifact is installed only when its key is
+        the key of ``text``; otherwise ``text`` compiles as usual and
+        ``service.plan.artifact_mismatch`` counts it.
         """
         tracer = get_tracer()
         with tracer.span("service.prepare", category="service", language=language):
             ast = parse_query(language, text)
             key = plan_key(language, ast)
-            plan = self.cache.get(key)
-            cached = plan is not None
-            if plan is None:
-                plan = compile_plan(language, ast, key=key)
-                self._compile_seconds.record(plan.compile_seconds * 1e3)
-                self.cache.put(key, plan)
+            compiled = self.cache.get(key)
+            cached = compiled is not None
+            if not cached:
+                compiled = self._install(plan, key) if plan is not None else None
+                if compiled is None:
+                    compiled = compile_plan(language, ast, key=key)
+                    self._compile_seconds.record(compiled.compile_seconds * 1e3)
+                self.cache.put(key, compiled)
             if handle is None:
                 handle = "%s%d" % (self._handle_prefix, next(self._handles))
-            prepared = PreparedQuery(handle, language, text, plan, cached)
+            prepared = PreparedQuery(handle, language, text, compiled, cached)
             with self._lock:
                 self._prepared[handle] = prepared
             return prepared
+
+    def _install(self, artifact: Dict[str, Any], key: str) -> Optional[CompiledPlan]:
+        """The plan ``artifact`` carries, when it is the plan for ``key``."""
+        if artifact.get("key") == key:
+            try:
+                compiled = CompiledPlan.from_artifact(artifact)
+            except CompileError:
+                pass
+            else:
+                self._installed.inc()
+                return compiled
+        self._artifact_mismatch.inc()
+        return None
 
     def prepared(self, handle: str) -> PreparedQuery:
         try:

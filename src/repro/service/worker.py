@@ -8,11 +8,15 @@ by default, ``fork``/``forkserver`` selectable), each holding
 - a **read-only catalog snapshot**: the leader's registered tables,
   serialized through the JSON wire format at pool start (and at every
   respawn) so a worker can never see a half-registered catalog;
-- a **per-worker LRU plan cache** with **warm-up replay**: the snapshot
-  carries the leader's live prepared handles ``(handle, language,
-  text)``, and the worker re-prepares each one *under the leader's
-  handle name* (``QueryService.prepare(handle=...)``), so any handle a
-  client holds is valid on whichever worker the request lands on;
+- a **per-worker LRU plan cache** filled by **plan install**: the
+  snapshot carries the leader's live prepared handles with their
+  compiled plans (``handle``, ``language``, ``text`` and the plan
+  artifact — the optimized NRAe as an S-expression), and the worker
+  installs each one *under the leader's handle name*
+  (``QueryService.prepare(handle=..., plan=...)``), so any handle a
+  client holds is valid on whichever worker the request lands on.  A
+  worker lowers the leader's NRAe to Python; it never re-optimizes a
+  prepared statement, neither at warm-up nor on a ``prepare`` broadcast;
 - its own :class:`~repro.service.executor.SessionExecutor`, which is
   what enforces the request deadline the leader propagates (the
   ``timeout`` field of the worker message is the *remaining* budget).
@@ -58,14 +62,16 @@ def catalog_snapshot(service: Any) -> Dict[str, Any]:
     every snapshot (copy-on-write: respawns after new registrations
     pick up the new tables' payloads, unchanged tables re-use theirs),
     so respawning a worker does not re-encode the whole catalog.
-    Prepared queries ride along as ``(handle, language, text)`` triples
-    in creation order so warm-up replay assigns identical handles.
+    Prepared queries ride along in creation order as ``handle``,
+    ``language``, ``text`` and the plan's cached
+    :meth:`~repro.service.prepared.CompiledPlan.artifact`, so warm-up
+    installs identical handles without re-optimizing.
     """
     tables = {}
     for info in service.catalog.tables():
         tables[info.name] = info.wire_payload()
     prepared = [
-        {"handle": p.handle, "language": p.language, "text": p.text}
+        {"handle": p.handle, "language": p.language, "text": p.text, "plan": p.plan.artifact()}
         for p in service.prepared_queries()
     ]
     return {"tables": tables, "prepared": prepared}
@@ -151,7 +157,9 @@ def worker_main(
             # leader can drive an older worker snapshot and vice versa
             service.register_table(name, rows_from_wire(table), table.get("schema"))
         for entry in snapshot.get("prepared", []):
-            service.prepare(entry["language"], entry["text"], handle=entry["handle"])
+            service.prepare(
+                entry["language"], entry["text"], handle=entry["handle"], plan=entry.get("plan")
+            )
     except Exception as exc:  # noqa: BLE001 - report, then die visibly
         try:
             conn.send(
@@ -173,9 +181,10 @@ def worker_main(
         catalog_bytes = len(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # noqa: BLE001 - sizing is best-effort
         catalog_bytes = 0
-    # Delta baseline: everything warm-up recorded is the worker's own
-    # startup cost, not any query's — start shipping changes from here.
-    metrics_prev = service.metrics.snapshot()
+    # Delta baseline: empty, so the first reply also ships what warm-up
+    # recorded (table registrations, plan installs) and the leader's
+    # fleet mirror shows how this worker got its plans.
+    metrics_prev: Dict[str, Any] = {}
     while True:
         try:
             msg = conn.recv()
@@ -210,12 +219,16 @@ def worker_main(
         obs_in = msg.pop("_obs", None)
         query_id = msg.pop("_query_id", None)
         forced_handle = msg.pop("_handle", None)
+        plan = msg.pop("_plan", None)
         tracer = None
         try:
             if forced_handle is not None and msg.get("op") == "prepare":
                 try:
                     prepared = service.prepare(
-                        msg.get("language", "sql"), msg["query"], handle=forced_handle
+                        msg.get("language", "sql"),
+                        msg["query"],
+                        handle=forced_handle,
+                        plan=plan,
                     )
                     response: Dict[str, Any] = {"ok": True, **prepared.describe()}
                 except ServiceError as exc:
@@ -415,7 +428,7 @@ class WorkerPool:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "WorkerPool":
-        """Spawn all workers (blocking: process start + warm-up replay)."""
+        """Spawn all workers (blocking: process start + warm-up install)."""
         self._handles = [self._spawn(next(self._ids)) for _ in range(self.count)]
         return self
 

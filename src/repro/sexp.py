@@ -14,7 +14,9 @@ Grammar::
     atom  ::= symbol | integer | float | "string"
 
 Values are encoded with tagged forms: ``(bag e*)``, ``(rec (name e)*)``,
-``(date "YYYY-MM-DD")``, ``null``, ``true``/``false``.
+``(date "YYYY-MM-DD")``, ``null``, ``true``/``false``.  The strings
+``"null"``, ``"true"`` and ``"false"`` are written ``(str "null")`` and
+so on, because the reader does not tell a quoted atom from a bare one.
 """
 
 from __future__ import annotations
@@ -144,6 +146,10 @@ def _looks_numeric(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: Bare atoms that decode to a non-string value.
+_KEYWORDS = frozenset(("null", "true", "false"))
+
+
 def value_to_sexp(value: Any) -> Sexp:
     if value is None:
         return "null"
@@ -151,6 +157,8 @@ def value_to_sexp(value: Any) -> Sexp:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, str) and value in _KEYWORDS:
+        return ["str", value]
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, DateValue):
@@ -175,6 +183,8 @@ def sexp_to_value(expr: Sexp) -> Any:
         return expr
     if isinstance(expr, list) and expr:
         head = expr[0]
+        if head == "str":
+            return expr[1]
         if head == "date":
             return DateValue.parse(expr[1])
         if head == "bag":

@@ -70,6 +70,7 @@ def test_snapshot_carries_tables_and_prepared(leader):
     assert set(snapshot["tables"]["people"]["schema"]) == {"name", "age"}
     assert snapshot["prepared"][0]["handle"] == "q1"
     assert snapshot["prepared"][0]["language"] == "sql"
+    assert snapshot["prepared"][0]["plan"] is leader.prepared("q1").plan.artifact()
     # The snapshot must be plain JSON-able data (picklable for spawn).
     json.dumps(snapshot)
 

@@ -59,6 +59,10 @@ class TestValues:
         value = rec(a=bag(1, DateValue(1994, 1, 2)), b=None, c=True)
         assert sexp_to_value(value_to_sexp(value)) == value
 
+    def test_strings_that_spell_keywords(self):
+        value = rec(a="null", b="true", c="false", d="str", e=None, f=True)
+        assert sexp_to_value(parse_sexp(print_sexp(value_to_sexp(value)))) == value
+
     @given(values(max_leaves=8))
     @settings(max_examples=80)
     def test_value_round_trip(self, value):
