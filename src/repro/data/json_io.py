@@ -52,7 +52,10 @@ def from_jsonable(value: Any) -> Any:
             tagged = value["$date"]
             if not isinstance(tagged, str):
                 raise DataError("$date payload must be a string, got %r" % (tagged,))
-            return DateValue.parse(tagged)
+            try:
+                return DateValue.parse(tagged)
+            except ValueError as exc:
+                raise DataError("bad $date payload %r: %s" % (tagged, exc))
         if set(value) == {"$record"}:
             escaped = value["$record"]
             if not isinstance(escaped, dict):

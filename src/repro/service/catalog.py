@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.data import json_io
 from repro.data.columnar import MISSING, ColumnarBag, cached_columnar, ensure_columnar
 from repro.data.model import Bag, DataError, Record
+from repro.data.types import QType, type_of_value
 from repro.service.errors import CatalogError
 
 #: Tables at or above this row count are stored columnar at
@@ -36,10 +37,11 @@ class TableInfo:
     ``columnar`` is True when the table's bag carries its column-wise
     twin (built at registration for large tables); ``wire_payload``
     lazily builds — and caches, so every snapshot shares it — the
-    picklable form workers rebuild the table from.
+    picklable form workers rebuild the table from.  ``qtype`` lazily
+    infers and caches the table's data-model type the same way.
     """
 
-    __slots__ = ("name", "rows", "columns", "columnar", "_wire")
+    __slots__ = ("name", "rows", "columns", "columnar", "_wire", "_qtype")
 
     def __init__(self, name: str, rows: Bag, columns: Sequence[str]):
         self.name = name
@@ -47,6 +49,14 @@ class TableInfo:
         self.columns = tuple(columns)
         self.columnar = cached_columnar(rows) is not None
         self._wire: Optional[Dict[str, Any]] = None
+        self._qtype: Optional[QType] = None
+
+    def qtype(self) -> QType:
+        """The most precise type of the table's rows, inferred once."""
+        qtype = self._qtype
+        if qtype is None:
+            qtype = self._qtype = type_of_value(self.rows)
+        return qtype
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -232,6 +242,18 @@ class Catalog:
             return self._tables[name]
         except KeyError:
             raise CatalogError("unknown table %r" % (name,))
+
+    def table_type(self, name: str, rows: Any) -> Optional[QType]:
+        """The type of table ``name`` if ``rows`` is its registered data.
+
+        ``None`` when the table is unknown or ``rows`` is not the bag
+        registered under ``name`` now, so a caller holding an older
+        constants snapshot never gets a type that describes other data.
+        """
+        info = self._tables.get(name)
+        if info is None or info.rows is not rows:
+            return None
+        return info.qtype()
 
     def tables(self) -> List[TableInfo]:
         with self._lock:

@@ -233,7 +233,10 @@ class QueryService:
     ) -> Outcome:
         """Run a prepared query on the executor; never raises.
 
-        ``analyze=True`` runs the slower EXPLAIN ANALYZE path (the
+        The plain path runs the plan's generated callable through
+        :meth:`~repro.service.prepared.CompiledPlan.run`, which
+        specialises a reused plan to the catalog's and the parameters'
+        types.  ``analyze=True`` runs the slower EXPLAIN ANALYZE path (the
         optimized NRAe plan through the join engine with per-node
         statistics) and attaches the summary to ``outcome.analysis``.
         Every execution — either path — lands one
@@ -277,19 +280,27 @@ class QueryService:
             query_id=context.query_id,
             analyze=analyze,
         ):
+            variant = None
             if analyze:
                 outcome = self.executor.submit(
-                    lambda: plan.execute_analyzed(constants, params), timeout=timeout
+                    lambda: plan.execute_analyzed(constants, params, self.catalog),
+                    timeout=timeout,
                 )
                 if outcome.ok:
                     outcome.value, outcome.analysis = outcome.value
+                    variant = outcome.analysis.get("plan")
             else:
                 outcome = self.executor.submit(
-                    lambda: plan.execute(constants, params), timeout=timeout
+                    lambda: plan.run(constants, params, self.catalog, self.metrics),
+                    timeout=timeout,
                 )
+                if outcome.ok:
+                    outcome.value, variant = outcome.value
         if outcome.ok:
             prepared.executions += 1
-        telemetry = self._record_telemetry(context, prepared, outcome, analyzed=analyze)
+        telemetry = self._record_telemetry(
+            context, prepared, outcome, analyzed=analyze, variant=variant
+        )
         self._finish_query(context, telemetry, outcome)
         return outcome
 
@@ -321,6 +332,7 @@ class QueryService:
         prepared: PreparedQuery,
         outcome: Outcome,
         analyzed: bool,
+        variant: Optional[str],
     ) -> QueryTelemetry:
         rows = None
         if outcome.ok:
@@ -344,6 +356,7 @@ class QueryService:
             analyzed=analyzed,
             query_id=context.query_id,
             started_at=context.started_at,
+            plan=variant,
         )
         self.telemetry.record(telemetry)
         return telemetry
@@ -400,6 +413,7 @@ class QueryService:
             query_id=context.query_id,
             started_at=context.started_at,
             worker=worker,
+            plan=analysis.get("plan"),
         )
         self.telemetry.record(telemetry)
         outcome = Outcome(seconds=seconds)

@@ -32,7 +32,9 @@ class QueryTelemetry:
     this execution.  ``started_at`` is the wall-clock ingress time
     (``time.time()``), stamped at construction unless supplied.  When
     tail sampling keeps this query's trace, the chrome-trace fragment
-    lands on ``trace``.
+    lands on ``trace``.  ``plan`` names the callable variant that
+    answered (``"typed"`` or ``"untyped"``, see
+    :meth:`~repro.service.prepared.CompiledPlan.run`) when it is known.
     """
 
     __slots__ = (
@@ -53,6 +55,7 @@ class QueryTelemetry:
         "started_at",
         "worker",
         "trace",
+        "plan",
     )
 
     def __init__(
@@ -72,6 +75,7 @@ class QueryTelemetry:
         query_id: Optional[str] = None,
         started_at: Optional[float] = None,
         worker: Optional[str] = None,
+        plan: Optional[str] = None,
     ):
         self.handle = handle
         self.language = language
@@ -91,6 +95,7 @@ class QueryTelemetry:
         # The worker-process label ("w0", "w1", ...) when the execution
         # ran in a scale-out worker rather than the leader's thread pool.
         self.worker = worker
+        self.plan = plan
         self.trace: Optional[Dict[str, Any]] = None
 
     def describe(self) -> Dict[str, Any]:
@@ -111,6 +116,8 @@ class QueryTelemetry:
             out["error_kind"] = self.error_kind
         if self.rows is not None:
             out["rows"] = self.rows
+        if self.plan is not None:
+            out["plan"] = self.plan
         if self.analyzed:
             out["analyzed"] = True
             out["peak_rows"] = self.peak_rows

@@ -80,6 +80,10 @@ class TestTagEscaping:
         with pytest.raises(DataError):
             from_jsonable({"$date": 5})
 
+    def test_unparsable_date_string_is_a_data_error(self):
+        with pytest.raises(DataError, match="nope"):
+            from_jsonable({"$date": "nope"})
+
 
 @given(js.values())
 @settings(max_examples=150, deadline=None)

@@ -401,6 +401,34 @@ class TestTailSampling:
             svc.close(wait=False)
 
 
+class TestMalformedTaggedValues:
+    """Bad tagged wire values are client errors, never server faults."""
+
+    def test_register_with_bad_date_is_a_catalog_error(self, service):
+        response = service.handle_request(
+            {"op": "register", "table": "d", "rows": [{"d": {"$date": "nope"}}]}
+        )
+        assert response["error"]["kind"] == "catalog_error", response
+
+    @pytest.mark.parametrize("value", [{"$date": "nope"}, {"$record": 5}, {"$date": 5}])
+    def test_bad_param_is_a_bad_request_naming_it(self, service, value):
+        handle = service.prepare("sql", "select name from people where age < $q").handle
+        response = service.handle_request(
+            {"op": "execute", "handle": handle, "params": {"q": value}}
+        )
+        assert response["error"]["kind"] == "bad_request", response
+        assert "$q" in response["error"]["message"]
+
+    def test_model_values_bind_unchanged(self, service):
+        from repro.data.foreign import DateValue
+        from repro.data.model import Record
+
+        service.register_table("d", [Record({"d": DateValue.parse("1995-01-02")})])
+        handle = service.prepare("sql", "select d from d where d < $q").handle
+        outcome = service.execute(handle, params={"q": DateValue.parse("1996-01-01")})
+        assert outcome.ok and len(outcome.value) == 1
+
+
 class TestWireProtocol:
     def run_lines(self, service, requests):
         stdin = io.StringIO("\n".join(json.dumps(r) if isinstance(r, dict) else r for r in requests) + "\n")
