@@ -452,8 +452,6 @@ def _print_engine(
     ``rows`` is given the plan already ran (EXPLAIN ANALYZE) and is not
     re-executed — the counters reflect that single run.
     """
-    from repro.obs.metrics import get_metrics
-
     print("== Join engine ==", file=out)
     if constants is None:
         print(
@@ -476,34 +474,20 @@ def _print_engine(
             print("executed optimized NRAe plan: %d rows" % len(value), file=out)
     else:
         print("executed optimized NRAe plan: %d rows" % rows, file=out)
-    counters = get_metrics().snapshot()["counters"]
-    print("hash joins executed: %d" % counters.get("engine.join", 0), file=out)
-    print(
-        "physical group-bys executed: %d" % counters.get("engine.group_by", 0),
-        file=out,
-    )
-    fused = counters.get("engine.columnar", 0) + counters.get(
-        "engine.columnar_filter", 0
-    )
-    print("fused columnar passes: %d" % fused, file=out)
-    hoisted = counters.get("engine.hoisted_in", 0)
-    if hoisted:
-        print("uncorrelated IN subqueries hoisted: %d" % hoisted, file=out)
-    prefix = "engine.fallback."
-    fallbacks = sorted(
-        (name[len(prefix):], count)
-        for name, count in counters.items()
-        if name.startswith(prefix)
-    )
-    if fallbacks:
+    counters = _engine_counters()
+    print("hash joins executed: %d" % counters["joins"], file=out)
+    print("physical group-bys executed: %d" % counters["group_bys"], file=out)
+    print("fused columnar passes: %d" % counters["columnar"], file=out)
+    if counters["hoisted_in"]:
+        print("uncorrelated IN subqueries hoisted: %d" % counters["hoisted_in"], file=out)
+    if counters["fallbacks"]:
         print("fallbacks to reference semantics:", file=out)
-        for reason, count in fallbacks:
+        for reason, count in sorted(counters["fallbacks"].items()):
             print("  %4dx %s" % (count, reason), file=out)
     else:
         print("fallbacks to reference semantics: none", file=out)
-    shed = counters.get("service.shed", 0)
-    if shed:
-        print("load-shed requests (service.shed): %d" % shed, file=out)
+    if counters["shed"]:
+        print("load-shed requests (service.shed): %d" % counters["shed"], file=out)
     print("", file=out)
 
 
@@ -701,8 +685,8 @@ def _serve_net(args: argparse.Namespace, service: Any, obs_server: Any) -> int:
 
     async def _run() -> int:
         await server.start()
-        # Announced on stderr in a stable format: the concurrent-load
-        # benchmark and the CI smoke step parse these lines.
+        # Announced on stderr in a stable format: bench/served.py parses
+        # the http line to find the port of a server started on port 0.
         endpoints = server.endpoints()
         if "http" in endpoints:
             print(

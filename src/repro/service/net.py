@@ -259,7 +259,6 @@ class ServeNetServer:
             )
         remaining = None if deadline is None else max(0.001, deadline - loop.time())
         msg = dict(request)
-        msg["_query_id"] = context.query_id  # legacy field; _obs supersedes it
         msg["_obs"] = context.to_wire()
         if remaining is not None:
             # The worker's own executor enforces the remaining budget —
@@ -326,7 +325,7 @@ class ServeNetServer:
             response = await self._run_local(request)
             if response.get("ok"):
                 msg = dict(request)
-                msg["_query_id"] = context.query_id
+                msg["_obs"] = context.to_wire(record_trace=False)
                 if request.get("op") == "prepare":
                     plan = self.service.prepared(response["handle"]).plan
                     msg["_handle"] = response["handle"]

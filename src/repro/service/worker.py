@@ -120,18 +120,17 @@ def worker_main(
 
     Runs a private :class:`~repro.service.service.QueryService` (own
     plan cache, own executor) and loops over the pipe: one request dict
-    in, one response dict out.  The leader's ``_obs`` envelope (or the
-    legacy bare ``_query_id``) rides along so the worker's internal
-    spans, telemetry, and (leader-side) audit events all share the
-    request's correlation id; when it asks for trace recording the
-    worker records its spans into a private tracer and ships them back
-    — wall-clock anchored — in the reply's ``_obs`` field, together
-    with a mergeable metrics delta, for the leader to stitch into the
-    request's single merged trace.  ``{"op": "_heartbeat"}`` answers
-    with the worker's resource gauges; ``{"op": "_shutdown"}`` ends the
-    loop; fault injection (``_inject: "crash"``) is honored only when
-    the pool opted in — it exists so tests can prove a worker crash
-    surfaces as a structured error.
+    in, one response dict out.  The leader's ``_obs`` envelope rides
+    along so the worker's internal spans, telemetry, and (leader-side)
+    audit events all share the request's correlation id; when it asks
+    for trace recording the worker records its spans into a private
+    tracer and ships them back — wall-clock anchored — in the reply's
+    ``_obs`` field, together with a mergeable metrics delta, for the
+    leader to stitch into the request's single merged trace.
+    ``{"op": "_heartbeat"}`` answers with the worker's resource gauges;
+    ``{"op": "_shutdown"}`` ends the loop; fault injection (``_inject:
+    "crash"``) is honored only when the pool opted in — it exists so
+    tests can prove a worker crash surfaces as a structured error.
     """
     import pickle
 
@@ -153,8 +152,8 @@ def worker_main(
     )
     try:
         for name, table in snapshot.get("tables", {}).items():
-            # both wire forms (columns / rows) are accepted, so a newer
-            # leader can drive an older worker snapshot and vice versa
+            # both wire forms are accepted: TableInfo.wire_payload ships
+            # columns for gap-free columnar tables, row lists for the rest
             service.register_table(name, rows_from_wire(table), table.get("schema"))
         for entry in snapshot.get("prepared", []):
             service.prepare(
@@ -216,8 +215,7 @@ def worker_main(
             continue
         if fault_injection and msg.pop("_inject", None) == "crash":
             os._exit(23)
-        obs_in = msg.pop("_obs", None)
-        query_id = msg.pop("_query_id", None)
+        obs_in = msg.pop("_obs", None) or {}
         forced_handle = msg.pop("_handle", None)
         plan = msg.pop("_plan", None)
         tracer = None
@@ -234,12 +232,9 @@ def worker_main(
                 except ServiceError as exc:
                     response = {"ok": False, "error": exc.to_payload()}
             else:
-                if isinstance(obs_in, dict):
-                    if obs_in.get("record_trace"):
-                        tracer = Tracer()
-                    context = QueryContext.from_wire(obs_in, tracer=tracer)
-                else:
-                    context = QueryContext(query_id=query_id)
+                if obs_in.get("record_trace"):
+                    tracer = Tracer()
+                context = QueryContext.from_wire(obs_in, tracer=tracer)
                 with query_context(context):
                     response = service.handle_request(msg)
         except Exception as exc:  # noqa: BLE001 - the worker loop must survive
@@ -320,10 +315,7 @@ class WorkerHandle:
                 self._conn.close()
                 return
             msg, future = item
-            obs = msg.get("_obs")
-            self.in_flight_query_id = (
-                obs.get("query_id") if isinstance(obs, dict) else msg.get("_query_id")
-            )
+            self.in_flight_query_id = msg.get("_obs", {}).get("query_id")
             try:
                 self._conn.send(msg)
                 reply = self._conn.recv()

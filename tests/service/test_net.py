@@ -251,8 +251,10 @@ def test_worker_label_lands_in_query_log(stack):
 
 
 def test_hammer_past_admission_bound_taxonomy_holds(stack):
-    """Overload the front end; every answer is structured, nobody hangs."""
-    _, server, _ = stack
+    """Overload the front end; every answer is structured, nobody hangs,
+    and every shed a client saw is counted in the leader's service.shed."""
+    service, server, _ = stack
+    shed_before = service.metrics.counter("service.shed").value
     results = []
     lock = threading.Lock()
 
@@ -295,6 +297,8 @@ def test_hammer_past_admission_bound_taxonomy_holds(stack):
                 assert status == 503
         assert _QUERY_ID.match(str(body.get("query_id", ""))), body
     assert kinds.count("ok") > 0
+    shed_seen = sum(1 for _, body in results if body.get("shed") is True)
+    assert service.metrics.counter("service.shed").value - shed_before == shed_seen
 
 
 def test_sheds_are_counted_in_service_shed(stack):

@@ -91,7 +91,7 @@ def test_query_id_propagates_into_the_worker(pool):
             "op": "execute",
             "handle": "q1",
             "params": {"min": 25},
-            "_query_id": "cafe0123cafe0123",
+            "_obs": {"query_id": "cafe0123cafe0123", "record_trace": False},
         },
     )
     assert reply["ok"]
