@@ -106,7 +106,7 @@ def run_pipeline(
         span_args["query_id"] = query_id
     with tracer.span("pipeline", category="pipeline", **span_args):
         for name, fn in stages:
-            with tracer.span(name, category="stage"):
+            with tracer.span(name, category="stage") as span:
                 start = time.perf_counter()
                 value = fn(current)
                 elapsed = time.perf_counter() - start
@@ -114,6 +114,15 @@ def run_pipeline(
             if isinstance(value, StageValue):
                 meta = value.meta
                 value = value.value
+                optimized = meta.get("optimize_result")
+                if optimized is not None and tracer.enabled:
+                    # Noted after the span closed: sizing walks both plans.
+                    span.note(
+                        fired=sum(optimized.fire_counts.values()),
+                        passes=optimized.passes,
+                        size_in=current.size(),
+                        size_out=optimized.plan.size(),
+                    )
             executed.append(Stage(name, value, elapsed, meta))
             current = value
     return CompilationResult(source, executed)

@@ -16,8 +16,7 @@ works up to literal names and generates fresh names when needed).
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, Iterator, Tuple
+from typing import Any, Iterator, Tuple
 
 from repro.data.model import is_value
 from repro.data.operators import BinaryOp, UnaryOp
@@ -71,15 +70,6 @@ class NnrcNode:
         for child in self.children():
             for node in child.walk():
                 yield node
-
-    def transform_bottom_up(self, fn: Callable[["NnrcNode"], "NnrcNode"]) -> "NnrcNode":
-        children = self.children()
-        new_children = tuple(child.transform_bottom_up(fn) for child in children)
-        # Identity (not structural) comparison: untouched subtrees come
-        # back as the same objects, so an unchanged node costs O(arity)
-        # — map(is_, …) keeps the check at C speed with no deep fallback.
-        node = self if all(map(operator.is_, new_children, children)) else self.rebuild(new_children)
-        return fn(node)
 
 
 class Var(NnrcNode):

@@ -148,10 +148,15 @@ def flip_env6(plan: ast.NraeNode) -> Optional[ast.NraeNode]:
 def figure13_rules() -> List[Rewrite]:
     """The Figure 13 catalog."""
     return [
-        Rewrite("compose_selects_in_mapenv", compose_selects_in_mapenv, typed=True),
-        Rewrite("appenv_mapenv_to_map", appenv_mapenv_to_map, typed=True),
         Rewrite(
-            "appenv_flatten_mapenv_to_map", appenv_flatten_mapenv_to_map, typed=True
+            "compose_selects_in_mapenv", compose_selects_in_mapenv, typed=True, heads=(ast.AppEnv,)
         ),
-        Rewrite("flip_env6", flip_env6, typed=True),
+        Rewrite("appenv_mapenv_to_map", appenv_mapenv_to_map, typed=True, heads=(ast.AppEnv,)),
+        Rewrite(
+            "appenv_flatten_mapenv_to_map",
+            appenv_flatten_mapenv_to_map,
+            typed=True,
+            heads=(ast.AppEnv,),
+        ),
+        Rewrite("flip_env6", flip_env6, typed=True, heads=(ast.Map,)),
     ]

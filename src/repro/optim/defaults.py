@@ -9,7 +9,7 @@ rearrange their patterns.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.optim.camp_specific_rules import figure13_rules
 from repro.optim.cost import size_depth_cost
@@ -43,16 +43,19 @@ def default_nnrc_rules() -> List[Rewrite]:
     return nnrc_rules()
 
 
-def optimize_nraenv(plan, rules: Sequence[Rewrite] = None) -> OptimizeResult:
-    """Optimize an NRAe plan with the default (or given) rule set."""
-    return optimize(plan, rules or default_nraenv_rules(), size_depth_cost)
+def optimize_nraenv(plan, rules: Optional[Sequence[Rewrite]] = None) -> OptimizeResult:
+    """Optimize an NRAe plan with the default (or given) rule set.
+
+    ``rules=None`` means the defaults; an empty list means no rewrites.
+    """
+    return optimize(plan, rules if rules is not None else default_nraenv_rules(), size_depth_cost)
 
 
-def optimize_nra(plan, rules: Sequence[Rewrite] = None) -> OptimizeResult:
+def optimize_nra(plan, rules: Optional[Sequence[Rewrite]] = None) -> OptimizeResult:
     """Optimize a pure-NRA plan with NRA rules only."""
-    return optimize(plan, rules or default_nra_rules(), size_depth_cost)
+    return optimize(plan, rules if rules is not None else default_nra_rules(), size_depth_cost)
 
 
-def optimize_nnrc(expr, rules: Sequence[Rewrite] = None) -> OptimizeResult:
+def optimize_nnrc(expr, rules: Optional[Sequence[Rewrite]] = None) -> OptimizeResult:
     """Optimize an NNRC expression with the default (or given) rule set."""
-    return optimize(expr, rules or default_nnrc_rules(), size_depth_cost)
+    return optimize(expr, rules if rules is not None else default_nnrc_rules(), size_depth_cost)

@@ -12,18 +12,35 @@ paper's introduction).  The engine runs passes of depth-first (bottom-up)
 application over the whole AST and keeps iterating while the plan's cost
 decreases, collecting per-rule fire counts for the experiment analyses.
 
+The search is the paper's; two facts keep its cost down without
+changing any result (plans, fire counts, passes, cost trajectory):
+
+- *Head dispatch.*  Each rule declares ``heads``, the node classes its
+  root match requires.  At a node the engine tries only the rules whose
+  heads admit the node's class, in the original rule order, and looks
+  the list up again after every fire (the rewritten node may be of
+  another class).
+- *Settled subtrees.*  A node is settled once a full scan of its rules
+  fired nothing and all its children are settled.  Nodes are immutable
+  and rules are pure functions of the node, so a later visit would
+  return it unchanged; within one :func:`optimize` call the engine
+  returns a settled node without visiting it.  A node that ran out of
+  ``_MAX_LOCAL_STEPS`` is not settled.
+
 Observability: when the global tracer (:mod:`repro.obs.trace`) is
 enabled — or a :class:`ProvenanceLog` is passed explicitly — the engine
 records a **rewrite provenance log**: the ordered firings (rule name,
 node size before/after, pass number), the cost trajectory across
 passes, per-rule attempt counts and cumulative wall-clock time, and the
-reason the run terminated.  ``repro explain`` renders this log.  With
-the null tracer the only cost over the bare engine is one ``is None``
-check per fire.
+reason the run terminated.  ``repro explain`` renders this log.  Traced
+and untraced runs share one traversal; with the null tracer the only
+cost of the log is one flag test per attempt and one ``is None`` check
+per fire.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Any, Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
@@ -42,9 +59,14 @@ class Rewrite:
     than holding for all values (Definition 3) — informational, mirrored
     from the Coq lemma statements, and used by the verification harness
     to pick the right checking mode.
+
+    ``heads`` names the node classes the rule's root match requires
+    (``heads=(ast.AppEnv,)``): on a node of any other class ``fn`` must
+    return ``None`` or its input, so the engine does not call it there.
+    ``None`` means "any class".
     """
 
-    __slots__ = ("name", "fn", "typed", "description")
+    __slots__ = ("name", "fn", "typed", "description", "heads")
 
     def __init__(
         self,
@@ -52,11 +74,13 @@ class Rewrite:
         fn: Callable[[Any], Optional[Any]],
         typed: bool = True,
         description: str = "",
+        heads: Optional[Tuple[type, ...]] = None,
     ):
         self.name = name
         self.fn = fn
         self.typed = typed
         self.description = description
+        self.heads = heads
 
     def apply(self, plan: Any) -> Optional[Any]:
         """The rewritten plan if the rule fires at the root, else None.
@@ -107,7 +131,9 @@ class ProvenanceLog:
     - :attr:`rule_attempts` / :attr:`rule_seconds` — per-rule attempt
       counts and cumulative time in the rule function (only populated
       when ``timing`` is on; timing doubles the engine's bookkeeping
-      cost, so it is reserved for traced runs);
+      cost, so it is reserved for traced runs).  They count the
+      attempts the engine made, after head dispatch and settled-subtree
+      skipping — far fewer than rules × nodes × passes;
     - :attr:`termination` — ``"fixpoint"``, ``"revisit"`` (a previous
       plan state recurred), ``"stall"`` (no best-cost improvement for 8
       consecutive passes), or ``"pass-limit"``.
@@ -177,6 +203,90 @@ _MAX_PASSES = 64
 _MAX_STALLED = 8
 
 
+class _Search:
+    """The state one :func:`optimize` call shares across its passes.
+
+    - ``by_class`` — the head-dispatch table: ``type(node)`` → the rules
+      whose ``heads`` admit that class, in the original rule order.
+      Built lazily, one entry per class actually met.
+    - ``settled`` — ``id → node`` for every node known to be a local
+      fixpoint whose children are all settled too.  Rules are pure
+      functions of immutable nodes, so a settled node would come back
+      from a visit unchanged with no rule firing; :meth:`visit` returns
+      it without looking inside.  The map holds the nodes themselves,
+      so an id cannot be reused while the search lives.
+    """
+
+    __slots__ = ("rules", "by_class", "settled", "counts", "provenance", "pass_index")
+
+    def __init__(
+        self,
+        rules: Sequence[Rewrite],
+        counts: Dict[str, int],
+        provenance: Optional[ProvenanceLog],
+        pass_index: int = 1,
+    ):
+        self.rules = rules
+        self.by_class: Dict[type, List[Rewrite]] = {}
+        self.settled: Dict[int, Any] = {}
+        self.counts = counts
+        self.provenance = provenance
+        self.pass_index = pass_index
+
+    def rules_for(self, cls: type) -> List[Rewrite]:
+        table = self.by_class.get(cls)
+        if table is None:
+            table = [rule for rule in self.rules if rule.heads is None or cls in rule.heads]
+            self.by_class[cls] = table
+        return table
+
+    def visit(self, node: Any) -> Any:
+        """Rewrite ``node``'s subtree depth-first: children, then the node."""
+        if id(node) in self.settled:
+            return node
+        children = node.children()
+        if children:
+            new_children = tuple([self.visit(child) for child in children])
+            # Identity (not structural) comparison: untouched subtrees
+            # come back as the same objects.
+            if not all(map(operator.is_, new_children, children)):
+                node = node.rebuild(new_children)
+        return self.at_node(node)
+
+    def at_node(self, node: Any) -> Any:
+        """Apply rules at ``node`` until none fires (or the step bound)."""
+        provenance = self.provenance
+        timing = provenance is not None and provenance.timing
+        for _ in range(_MAX_LOCAL_STEPS):
+            # Re-looked-up after every fire: the rewritten node may be of
+            # another class, with another candidate list.
+            for rule in self.rules_for(type(node)):
+                if timing:
+                    started = time.perf_counter()
+                    result = rule.apply(node)
+                    name = rule.name
+                    provenance.rule_seconds[name] = provenance.rule_seconds.get(name, 0.0) + (
+                        time.perf_counter() - started
+                    )
+                    provenance.rule_attempts[name] = provenance.rule_attempts.get(name, 0) + 1
+                else:
+                    result = rule.apply(node)
+                if result is not None:
+                    self.counts[rule.name] = self.counts.get(rule.name, 0) + 1
+                    if provenance is not None:
+                        provenance.events.append(
+                            RewriteEvent(rule.name, self.pass_index, node.size(), result.size())
+                        )
+                    node = result
+                    break
+            else:
+                settled = self.settled
+                if all(id(child) in settled for child in node.children()):
+                    settled[id(node)] = node
+                return node
+        return node
+
+
 def rewrite_once(
     plan: Any,
     rules: Sequence[Rewrite],
@@ -186,53 +296,7 @@ def rewrite_once(
 ) -> Any:
     """One depth-first pass: at every node, apply rules to fixpoint."""
     counts = fire_counts if fire_counts is not None else {}
-
-    # Two at_node variants so the untraced hot loop carries no
-    # bookkeeping at all — provenance timing doubles the per-attempt
-    # work, and this loop runs rules × nodes × passes times.
-    if provenance is not None and provenance.timing:
-
-        def at_node(node: Any) -> Any:
-            for _ in range(_MAX_LOCAL_STEPS):
-                for rule in rules:
-                    started = time.perf_counter()
-                    result = rule.apply(node)
-                    provenance.rule_seconds[rule.name] = provenance.rule_seconds.get(
-                        rule.name, 0.0
-                    ) + (time.perf_counter() - started)
-                    provenance.rule_attempts[rule.name] = (
-                        provenance.rule_attempts.get(rule.name, 0) + 1
-                    )
-                    if result is not None:
-                        counts[rule.name] = counts.get(rule.name, 0) + 1
-                        provenance.events.append(
-                            RewriteEvent(rule.name, pass_index, node.size(), result.size())
-                        )
-                        node = result
-                        break
-                else:
-                    return node
-            return node
-
-    else:
-
-        def at_node(node: Any) -> Any:
-            for _ in range(_MAX_LOCAL_STEPS):
-                for rule in rules:
-                    result = rule.apply(node)
-                    if result is not None:
-                        counts[rule.name] = counts.get(rule.name, 0) + 1
-                        if provenance is not None:
-                            provenance.events.append(
-                                RewriteEvent(rule.name, pass_index, node.size(), result.size())
-                            )
-                        node = result
-                        break
-                else:
-                    return node
-            return node
-
-    return plan.transform_bottom_up(at_node)
+    return _Search(rules, counts, provenance, pass_index).visit(plan)
 
 
 def optimize(
@@ -267,10 +331,12 @@ def optimize(
     stalled = 0
     seen = {plan}
     termination = "pass-limit"
+    search = _Search(rules, fire_counts, provenance)
     with tracer.span("optimize", category="optim", rules=len(rules), initial_cost=initial_cost):
         for _ in range(_MAX_PASSES):
             with tracer.span("pass %d" % (passes + 1), category="optim") as pass_span:
-                candidate = rewrite_once(current, rules, fire_counts, provenance, passes + 1)
+                search.pass_index = passes + 1
+                candidate = search.visit(current)
             passes += 1
             if candidate is current or candidate == current:
                 termination = "fixpoint"
@@ -289,10 +355,12 @@ def optimize(
                 if stalled >= _MAX_STALLED:
                     termination = "stall"
                     break
-            if candidate in seen:
+            # One add instead of `in` + add: hashing a plan walks all of it.
+            known = len(seen)
+            seen.add(candidate)
+            if len(seen) == known:
                 termination = "revisit"
                 break
-            seen.add(candidate)
             current = candidate
     if provenance is not None:
         provenance.termination = termination

@@ -220,17 +220,17 @@ def constant_fold(expr: ast.NnrcNode) -> Optional[ast.NnrcNode]:
 def nnrc_rules() -> List[Rewrite]:
     """The default NNRC rule set."""
     return [
-        Rewrite("nnrc_dead_let", dead_let, typed=True),
-        Rewrite("nnrc_let_inline", let_inline, typed=True),
-        Rewrite("nnrc_for_nil", for_nil, typed=False),
-        Rewrite("nnrc_for_singleton", for_singleton, typed=False),
-        Rewrite("nnrc_for_for_fusion", for_for_fusion, typed=False),
-        Rewrite("nnrc_for_var_body", for_var_body, typed=True),
-        Rewrite("nnrc_if_const_cond", if_const_cond, typed=False),
-        Rewrite("nnrc_if_same_branches", if_same_branches, typed=True),
-        Rewrite("nnrc_flatten_coll", flatten_coll, typed=True),
-        Rewrite("nnrc_flatten_for_coll", flatten_for_coll, typed=False),
-        Rewrite("nnrc_dot_over_rec", dot_over_rec, typed=False),
-        Rewrite("nnrc_dot_over_concat", dot_over_concat, typed=True),
-        Rewrite("nnrc_constant_fold", constant_fold, typed=False),
+        Rewrite("nnrc_dead_let", dead_let, typed=True, heads=(ast.Let,)),
+        Rewrite("nnrc_let_inline", let_inline, typed=True, heads=(ast.Let,)),
+        Rewrite("nnrc_for_nil", for_nil, typed=False, heads=(ast.For,)),
+        Rewrite("nnrc_for_singleton", for_singleton, typed=False, heads=(ast.For,)),
+        Rewrite("nnrc_for_for_fusion", for_for_fusion, typed=False, heads=(ast.For,)),
+        Rewrite("nnrc_for_var_body", for_var_body, typed=True, heads=(ast.For,)),
+        Rewrite("nnrc_if_const_cond", if_const_cond, typed=False, heads=(ast.If,)),
+        Rewrite("nnrc_if_same_branches", if_same_branches, typed=True, heads=(ast.If,)),
+        Rewrite("nnrc_flatten_coll", flatten_coll, typed=True, heads=(ast.Unop,)),
+        Rewrite("nnrc_flatten_for_coll", flatten_for_coll, typed=False, heads=(ast.Unop,)),
+        Rewrite("nnrc_dot_over_rec", dot_over_rec, typed=False, heads=(ast.Unop,)),
+        Rewrite("nnrc_dot_over_concat", dot_over_concat, typed=True, heads=(ast.Unop,)),
+        Rewrite("nnrc_constant_fold", constant_fold, typed=False, heads=(ast.Unop, ast.Binop)),
     ]

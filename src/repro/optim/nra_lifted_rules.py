@@ -462,40 +462,42 @@ def select_select_and(plan: ast.NraeNode) -> Optional[ast.NraeNode]:
 def figure12_rules() -> List[Rewrite]:
     """The Figure 12 catalog (plus the trivial companions noted inline)."""
     return [
-        Rewrite("dot_over_rec", dot_over_rec, typed=False),
-        Rewrite("dot_over_concat_eq_r", dot_over_concat_eq_r, typed=True),
-        Rewrite("dot_over_concat_neq_r", dot_over_concat_neq_r, typed=True),
-        Rewrite("dot_over_concat_neq_l", dot_over_concat_neq_l, typed=True),
-        Rewrite("merge_empty_rec_l", merge_empty_rec_l, typed=True),
-        Rewrite("merge_empty_rec_r", merge_empty_rec_r, typed=True),
-        Rewrite("product_singletons", product_singletons, typed=False),
-        Rewrite("app_over_id_l", app_over_id_l, typed=False),
-        Rewrite("app_over_id_r", app_over_id_r, typed=False),
-        Rewrite("app_over_unop", app_over_unop, typed=False),
-        Rewrite("app_over_binop", app_over_binop, typed=False),
-        Rewrite("app_over_ignoreid", app_over_ignoreid, typed=True),
-        Rewrite("app_over_app", app_over_app, typed=False),
-        Rewrite("app_over_map", app_over_map, typed=False),
-        Rewrite("app_over_select", app_over_select, typed=False),
-        Rewrite("double_flatten_map_coll", double_flatten_map_coll, typed=False),
-        Rewrite("map_over_flatten_map", map_over_flatten_map, typed=False),
-        Rewrite("flatten_coll", flatten_coll, typed=True),
-        Rewrite("flatten_map_coll", flatten_map_coll, typed=False),
-        Rewrite("map_into_id", map_into_id, typed=True),
-        Rewrite("map_map_compose", map_map_compose, typed=False),
-        Rewrite("map_singleton", map_singleton, typed=False),
-        Rewrite("map_full_over_select", map_full_over_select, typed=True),
+        Rewrite("dot_over_rec", dot_over_rec, typed=False, heads=(ast.Unop,)),
+        Rewrite("dot_over_concat_eq_r", dot_over_concat_eq_r, typed=True, heads=(ast.Unop,)),
+        Rewrite("dot_over_concat_neq_r", dot_over_concat_neq_r, typed=True, heads=(ast.Unop,)),
+        Rewrite("dot_over_concat_neq_l", dot_over_concat_neq_l, typed=True, heads=(ast.Unop,)),
+        Rewrite("merge_empty_rec_l", merge_empty_rec_l, typed=True, heads=(ast.Binop,)),
+        Rewrite("merge_empty_rec_r", merge_empty_rec_r, typed=True, heads=(ast.Binop,)),
+        Rewrite("product_singletons", product_singletons, typed=False, heads=(ast.Product,)),
+        Rewrite("app_over_id_l", app_over_id_l, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_id_r", app_over_id_r, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_unop", app_over_unop, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_binop", app_over_binop, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_ignoreid", app_over_ignoreid, typed=True, heads=(ast.App,)),
+        Rewrite("app_over_app", app_over_app, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_map", app_over_map, typed=False, heads=(ast.App,)),
+        Rewrite("app_over_select", app_over_select, typed=False, heads=(ast.App,)),
+        Rewrite(
+            "double_flatten_map_coll", double_flatten_map_coll, typed=False, heads=(ast.Unop,)
+        ),
+        Rewrite("map_over_flatten_map", map_over_flatten_map, typed=False, heads=(ast.Map,)),
+        Rewrite("flatten_coll", flatten_coll, typed=True, heads=(ast.Unop,)),
+        Rewrite("flatten_map_coll", flatten_map_coll, typed=False, heads=(ast.Unop,)),
+        Rewrite("map_into_id", map_into_id, typed=True, heads=(ast.Map,)),
+        Rewrite("map_map_compose", map_map_compose, typed=False, heads=(ast.Map,)),
+        Rewrite("map_singleton", map_singleton, typed=False, heads=(ast.Map,)),
+        Rewrite("map_full_over_select", map_full_over_select, typed=True, heads=(ast.Map,)),
     ]
 
 
 def classic_relational_rules() -> List[Rewrite]:
     """A few additional textbook rules used on the SQL path."""
     return [
-        Rewrite("select_union_distr", select_union_distr, typed=False),
-        Rewrite("select_select_and", select_select_and, typed=True),
-        Rewrite("constant_fold", constant_fold, typed=False),
-        Rewrite("union_empty", union_empty, typed=True),
-        Rewrite("map_over_nil", map_over_nil, typed=False),
-        Rewrite("merge_env_to_left", merge_env_to_left, typed=False),
-        Rewrite("dup_elim", dup_elim, typed=True),
+        Rewrite("select_union_distr", select_union_distr, typed=False, heads=(ast.Select,)),
+        Rewrite("select_select_and", select_select_and, typed=True, heads=(ast.Select,)),
+        Rewrite("constant_fold", constant_fold, typed=False, heads=(ast.Unop, ast.Binop)),
+        Rewrite("union_empty", union_empty, typed=True, heads=(ast.Binop,)),
+        Rewrite("map_over_nil", map_over_nil, typed=False, heads=(ast.Map, ast.Select)),
+        Rewrite("merge_env_to_left", merge_env_to_left, typed=False, heads=(ast.Binop,)),
+        Rewrite("dup_elim", dup_elim, typed=True, heads=(ast.Unop,)),
     ]

@@ -278,28 +278,30 @@ def flip_env2(plan: ast.NraeNode) -> Optional[ast.NraeNode]:
 def env_removal_rules() -> List[Rewrite]:
     """The "Environment constructs removal" block of Figure 3."""
     return [
-        Rewrite("appenv_over_env_r", appenv_over_env_r, typed=False),
-        Rewrite("appenv_over_env_l", appenv_over_env_l, typed=False),
-        Rewrite("appenv_over_ignoreenv", appenv_over_ignoreenv, typed=True),
-        Rewrite("flip_env1", flip_env1, typed=True),
-        Rewrite("flip_env4", flip_env4, typed=True),
-        Rewrite("mapenv_to_env", mapenv_to_env, typed=True),
-        Rewrite("mapenv_over_singleton", mapenv_over_singleton, typed=False),
-        Rewrite("mapenv_to_map", mapenv_to_map, typed=True),
+        Rewrite("appenv_over_env_r", appenv_over_env_r, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_env_l", appenv_over_env_l, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_ignoreenv", appenv_over_ignoreenv, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("flip_env1", flip_env1, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("flip_env4", flip_env4, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("mapenv_to_env", mapenv_to_env, typed=True, heads=(ast.App,)),
+        Rewrite("mapenv_over_singleton", mapenv_over_singleton, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("mapenv_to_map", mapenv_to_map, typed=True, heads=(ast.AppEnv,)),
     ]
 
 
 def appenv_pushdown_rules() -> List[Rewrite]:
     """The "∘e pushdown" block of Figure 3."""
     return [
-        Rewrite("appenv_over_unop", appenv_over_unop, typed=False),
-        Rewrite("appenv_over_binop", appenv_over_binop, typed=False),
-        Rewrite("appenv_over_map", appenv_over_map, typed=True),
-        Rewrite("appenv_over_select", appenv_over_select, typed=True),
-        Rewrite("appenv_over_appenv", appenv_over_appenv, typed=False),
-        Rewrite("appenv_over_app_ie", appenv_over_app_ie, typed=False),
-        Rewrite("appenv_over_env_merge_l", appenv_over_env_merge_l, typed=True),
-        Rewrite("flip_env2", flip_env2, typed=True),
+        Rewrite("appenv_over_unop", appenv_over_unop, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_binop", appenv_over_binop, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_map", appenv_over_map, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_select", appenv_over_select, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_appenv", appenv_over_appenv, typed=False, heads=(ast.AppEnv,)),
+        Rewrite("appenv_over_app_ie", appenv_over_app_ie, typed=False, heads=(ast.AppEnv,)),
+        Rewrite(
+            "appenv_over_env_merge_l", appenv_over_env_merge_l, typed=True, heads=(ast.AppEnv,)
+        ),
+        Rewrite("flip_env2", flip_env2, typed=True, heads=(ast.AppEnv,)),
     ]
 
 
@@ -312,8 +314,8 @@ def extended_env_rules() -> List[Rewrite]:
     property tests).
     """
     return [
-        Rewrite("flip_env3", flip_env3, typed=True),
-        Rewrite("mapenv_over_env_select", mapenv_over_env_select, typed=True),
+        Rewrite("flip_env3", flip_env3, typed=True, heads=(ast.AppEnv,)),
+        Rewrite("mapenv_over_env_select", mapenv_over_env_select, typed=True, heads=(ast.AppEnv,)),
     ]
 
 

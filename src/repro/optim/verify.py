@@ -91,7 +91,14 @@ def gen_plan(rng: random.Random, sort: str = "any", depth: int = 2) -> ast.NraeN
     ``"record"`` (a record value), ``"any"``.  Generated plans may read
     both ``In`` and ``Env`` — instantiating NRA equivalences with these
     is precisely what Theorem 1 licenses.
+
+    ``"env"`` (never picked by ``"any"``) generates the left-hand sides
+    of Figure 3's environment rules, with operands that read ``Env``
+    and ``In`` — the inputs on which a rule missing its ``Ie``/``Ii``
+    precondition goes wrong.
     """
+    if sort == "env":
+        return _gen_env_lhs(rng, depth)
     if sort == "bag":
         return _gen_bag(rng, depth)
     if sort == "pred":
@@ -179,6 +186,31 @@ def _gen_bag(rng: random.Random, depth: int) -> ast.NraeNode:
                 lambda: b.merge(b.env(), _gen_record(rng, depth - 1)),
             ]
         )
+    return rng.choice(choices)()
+
+
+def _gen_env_pred(rng: random.Random, depth: int) -> ast.NraeNode:
+    """A predicate over the element that reads ``Env`` half the time."""
+    if rng.random() < 0.5:
+        return _gen_pred(rng, depth)
+    comparison = rng.choice([ops.OpEq(), ops.OpLt(), ops.OpLe()])
+    return b.binop(comparison, b.dot(b.env(), rng.choice(["a", "u"])), _int_source(rng))
+
+
+def _gen_env_lhs(rng: random.Random, depth: int) -> ast.NraeNode:
+    choices: List[Callable[[], ast.NraeNode]] = [
+        # χ⟨Env⟩(σ⟨p⟩({In})) ∘e q: flip_env1 (q = In), flip_env4
+        lambda: b.appenv(
+            b.chi(b.env(), b.sigma(_gen_env_pred(rng, depth), b.coll(b.id_()))),
+            rng.choice([b.id_(), _gen_record(rng, depth)]),
+        ),
+        # χe⟨q1⟩ ∘e q2: mapenv_over_singleton, mapenv_to_map
+        lambda: b.appenv(b.chie(_gen_elem(rng, depth)), _gen_bag(rng, depth)),
+        # q1 ∘e (Env ⊕ q2): the removal and pushdown rules
+        lambda: b.appenv(
+            gen_plan(rng, "any", depth), b.concat(b.env(), _gen_record(rng, depth))
+        ),
+    ]
     return rng.choice(choices)()
 
 

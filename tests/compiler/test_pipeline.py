@@ -35,6 +35,24 @@ class TestRunPipeline:
         with pytest.raises(KeyError):
             result.stage("nope")
 
+    def test_traced_optimizer_stages_carry_their_facts(self):
+        from repro.obs.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = compile_sql("select a from t where a > 1 and 1 = 1")
+        for name in ("nraenv_opt", "nnrc_opt"):
+            optimized = result.optimize_result(name)
+            args = tracer.find(name).args
+            assert args["fired"] == sum(optimized.fire_counts.values())
+            assert args["passes"] == optimized.passes
+            assert args["size_out"] == optimized.plan.size()
+        assert tracer.find("nraenv_opt").args["size_in"] == result.output("to_nraenv").size()
+        assert tracer.find("nnrc_opt").args["size_in"] == result.output("to_nnrc").size()
+        assert tracer.find("nnrc_opt").args["fired"] > 0
+        # Stages that do not optimize carry no optimizer facts.
+        assert "fired" not in tracer.find("to_nnrc").args
+
 
 class TestCampPipelines:
     def test_compile_camp_end_to_end(self, camp_programs):

@@ -1,11 +1,28 @@
 """Unit tests for the rewrite engine (paper §8)."""
 
+import operator
+import random
+from typing import Any, Dict, List, NamedTuple, Sequence
+
+import pytest
+
+from repro.camp_suite.programs import all_programs
 from repro.data.model import bag, rec
+from repro.lambda_nra.parser import parse_lnra
 from repro.nraenv import ast, builders as b
 from repro.obs.trace import Tracer, use_tracer
 from repro.optim.cost import depth_cost, size_cost, size_depth_cost
+from repro.optim.defaults import (
+    default_nnrc_rules,
+    default_nra_rules,
+    default_nraenv_rules,
+    optimize_nnrc,
+    optimize_nra,
+    optimize_nraenv,
+)
 from repro.optim.engine import (
     _MAX_LOCAL_STEPS,
+    _MAX_PASSES,
     _MAX_STALLED,
     OptimizeResult,
     ProvenanceLog,
@@ -13,6 +30,16 @@ from repro.optim.engine import (
     optimize,
     rewrite_once,
 )
+from repro.optim.verify import gen_plan
+from repro.oql.parser import parse_oql
+from repro.oql.to_nraenv import oql_to_nraenv
+from repro.sql.parser import parse_sql
+from repro.sql.to_nraenv import sql_to_nraenv
+from repro.tpch.queries import QUERIES, QUERY_NAMES
+from repro.translate.camp_to_nra import camp_to_nra
+from repro.translate.camp_to_nraenv import camp_to_nraenv
+from repro.translate.lambda_nra_to_nraenv import lnra_to_nraenv
+from repro.translate.nraenv_to_nnrc import nraenv_to_nnrc
 
 
 def make_map_id_rule():
@@ -271,3 +298,198 @@ class TestSpearman:
 
         with pytest.raises(ValueError):
             spearman_rank_correlation([1, 2], [1])
+
+
+# ---------------------------------------------------------------------------
+# Head dispatch and settled subtrees: the same search, less work
+# ---------------------------------------------------------------------------
+
+
+class Reference(NamedTuple):
+    plan: Any
+    fire_counts: Dict[str, int]
+    passes: int
+    termination: str
+    costs: List[int]
+    attempts: int
+
+
+def reference_optimize(plan, rules: Sequence[Rewrite], cost=size_depth_cost) -> Reference:
+    """The engine before head dispatch and settled subtrees, kept as an oracle.
+
+    Every rule is tried at every node, and every pass re-walks the whole
+    plan.
+    """
+    counts: Dict[str, int] = {}
+    attempts = [0]
+
+    def bottom_up(node):
+        children = node.children()
+        new_children = tuple(bottom_up(child) for child in children)
+        if not all(map(operator.is_, new_children, children)):
+            node = node.rebuild(new_children)
+        return at_node(node)
+
+    def at_node(node):
+        for _ in range(_MAX_LOCAL_STEPS):
+            for rule in rules:
+                attempts[0] += 1
+                result = rule.apply(node)
+                if result is not None:
+                    counts[rule.name] = counts.get(rule.name, 0) + 1
+                    node = result
+                    break
+            else:
+                return node
+        return node
+
+    costs = [cost(plan)]
+    current, best, best_cost = plan, plan, costs[0]
+    passes, stalled, seen, termination = 0, 0, {plan}, "pass-limit"
+    for _ in range(_MAX_PASSES):
+        candidate = bottom_up(current)
+        passes += 1
+        if candidate is current or candidate == current:
+            termination = "fixpoint"
+            costs.append(costs[-1])
+            break
+        candidate_cost = cost(candidate)
+        costs.append(candidate_cost)
+        if candidate_cost < best_cost:
+            best, best_cost, stalled = candidate, candidate_cost, 0
+        else:
+            stalled += 1
+            if stalled >= _MAX_STALLED:
+                termination = "stall"
+                break
+        if candidate in seen:
+            termination = "revisit"
+            break
+        seen.add(candidate)
+        current = candidate
+    return Reference(best, counts, passes, termination, costs, attempts[0])
+
+
+OQL_QUERIES = [
+    "select p.name from p in persons where p.age > 30",
+    "select struct(n: p.name, k: count(p.kids)) from p in persons",
+    "select k.name from p in persons, k in p.kids",
+    "select struct(n: p.name, young: (select k from k in p.kids where k.age < 10)) "
+    "from p in persons where p.age > 35",
+    "avg(select k.age from p in persons, k in p.kids)",
+    "exists p in persons : p.age > 35",
+    "select distinct count(p.kids) from p in persons",
+    "flatten(select p.kids from p in persons where p.age > 35)",
+    "define adults as select p from p in persons where p.age >= 21; "
+    "define names as select a.name from a in adults; names",
+    "select (select p.age from p in p.kids) from p in persons where p.name = 'ann'",
+]
+
+LNRA_QUERIES = [
+    r"map(\p -> p.name)(filter(\p -> p.age < 30)(persons))",
+    r"map(\x -> map(\x -> x.name)(x.kids))(persons)",
+    r"djoin(\p -> map(\k -> struct(kid: k.name))(p.kids))(persons)",
+    "product(bag(struct(a: 1)), bag(struct(b: 2)))",
+    r"sum(map(\p -> p.age)(persons))",
+    "bag(1) union bag(2)",
+]
+
+#: Generated plans in the corpus (the issue's floor is 200).
+GENERATED = 200
+
+
+def nraenv_corpus() -> List[Any]:
+    """TPC-H and CAMP translator outputs, OQL and NRAλ plans, generated plans."""
+    plans = [sql_to_nraenv(parse_sql(QUERIES[name])) for name in QUERY_NAMES]
+    programs = all_programs()
+    plans += [camp_to_nraenv(programs[name].pattern) for name in sorted(programs)]
+    plans += [oql_to_nraenv(parse_oql(text)) for text in OQL_QUERIES]
+    plans += [lnra_to_nraenv(parse_lnra(text)) for text in LNRA_QUERIES]
+    rng = random.Random(39)
+    plans += [gen_plan(rng, "any", depth=3) for _ in range(GENERATED)]
+    return plans
+
+
+@pytest.fixture(scope="module")
+def corpus_cases():
+    """(plan, rules) for the three default optimizers over the corpus."""
+    nraenv_plans = nraenv_corpus()
+    programs = all_programs()
+    cases = [(plan, default_nraenv_rules()) for plan in nraenv_plans]
+    cases += [
+        (camp_to_nra(programs[name].pattern), default_nra_rules()) for name in sorted(programs)
+    ]
+    cases += [
+        (nraenv_to_nnrc(plan), default_nnrc_rules())
+        for plan in nraenv_plans[: len(nraenv_plans) - GENERATED]
+    ]
+    return [(plan, rules, reference_optimize(plan, rules)) for plan, rules in cases]
+
+
+class TestHeadDispatch:
+    def test_every_default_rule_declares_heads(self):
+        for rules in (default_nraenv_rules(), default_nra_rules(), default_nnrc_rules()):
+            for rule in rules:
+                assert rule.heads, "%s declares no heads" % rule.name
+
+    def test_rules_do_not_fire_outside_their_heads(self, corpus_cases):
+        for plan, rules, reference in corpus_cases:
+            for root in (plan, reference.plan):
+                for node in root.walk():
+                    for rule in rules:
+                        if type(node) in rule.heads:
+                            continue
+                        result = rule.fn(node)
+                        assert result is None or result is node, (rule.name, node)
+
+    def test_rules_are_relooked_up_after_a_fire_changes_the_class(self):
+        # App → Map by the first rule; only the Map rule can finish.
+        def app_to_map(plan):
+            if isinstance(plan, ast.App):
+                return b.chi(b.id_(), plan.before)
+            return None
+
+        rules = [
+            Rewrite("app_to_map", app_to_map, heads=(ast.App,)),
+            Rewrite("map_id", make_map_id_rule().fn, heads=(ast.Map,)),
+        ]
+        counts = {}
+        plan = b.comp(b.id_(), b.table("T"))
+        assert rewrite_once(plan, rules, counts) == b.table("T")
+        assert counts == {"app_to_map": 1, "map_id": 1}
+
+
+class TestSameSearchAsTheReference:
+    def test_corpus_matches_the_reference_loop(self, corpus_cases):
+        assert len(corpus_cases) >= 21 + 14 + GENERATED
+        for plan, rules, reference in corpus_cases:
+            provenance = ProvenanceLog()
+            result = optimize(plan, rules, provenance=provenance)
+            assert result.plan == reference.plan, plan
+            assert result.fire_counts == reference.fire_counts, plan
+            assert result.passes == reference.passes, plan
+            assert provenance.termination == reference.termination, plan
+            assert provenance.costs == reference.costs, plan
+
+    def test_fewer_attempts_same_fires_on_q7(self):
+        plan = sql_to_nraenv(parse_sql(QUERIES["q7"]))
+        rules = default_nraenv_rules()
+        reference = reference_optimize(plan, rules)
+        provenance = ProvenanceLog(timing=True)
+        optimize(plan, rules, provenance=provenance)
+        assert provenance.rule_counts() == reference.fire_counts
+        assert sum(provenance.rule_attempts.values()) < reference.attempts
+
+
+class TestEmptyRuleList:
+    def test_empty_list_is_the_identity(self):
+        programs = all_programs()
+        plan = camp_to_nraenv(programs["p01"].pattern)
+        for optimizer in (optimize_nraenv, optimize_nra):
+            result = optimizer(plan, [])
+            assert result.plan is plan
+            assert result.fire_counts == {}
+        expr = nraenv_to_nnrc(plan)
+        result = optimize_nnrc(expr, [])
+        assert result.plan is expr
+        assert result.fire_counts == {}
