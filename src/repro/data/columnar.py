@@ -106,7 +106,7 @@ class ColumnarBag:
         length = len(rows)
         columns: Dict[str, List[Any]] = {name: [MISSING] * length for name in sorted(names)}
         for position, row in enumerate(rows):
-            for name, value in row.fields:
+            for name, value in row._data.items():
                 columns[name][position] = value
         return cls(length, columns=columns, rows=rows, bag=bag)
 
@@ -236,7 +236,8 @@ class ColumnarBag:
                     value = column[position]
                     if value is not MISSING:
                         data[name] = value
-                built.append(Record(data))
+                # ``realised`` walks the sorted field names
+                built.append(Record._of_sorted(data))
             rows = tuple(built)
             self._rows = rows
         return rows

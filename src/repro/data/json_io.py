@@ -34,8 +34,8 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, Bag):
         return [to_jsonable(v) for v in value]
     if isinstance(value, Record):
-        fields = {k: to_jsonable(v) for k, v in value.fields}
-        if value.domain() in _AMBIGUOUS_DOMAINS:
+        fields = {k: to_jsonable(v) for k, v in value._data.items()}
+        if len(value) == 1 and value.domain() in _AMBIGUOUS_DOMAINS:
             return {"$record": fields}
         return fields
     raise DataError("cannot serialise %r" % (value,))

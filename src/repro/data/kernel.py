@@ -18,7 +18,9 @@ value itself, and the keys are cached on the immutable wrappers:
   every field value) and its hash.
 
 Because the wrappers are immutable, the caches never need invalidation:
-a key, once computed, is valid for the lifetime of the value.  With the
+a key, once computed, is valid for the lifetime of the value.  (A
+*hash* is valid only in the process that computed it — string hashes
+are seeded per process — which is why pickling ships no cache.)  With the
 index in hand, ``minus`` / ``intersection`` / ``contains`` /
 ``distinct`` / multiset equality are expected O(n + m) dict operations
 instead of the O(n·m) / O(n²) nested ``values_equal`` loops a naive
@@ -185,8 +187,8 @@ def product(left: Bag, right: Bag) -> Bag:
 
 def compatible(left: Record, right: Record) -> bool:
     """True iff common attributes agree (by canonical key)."""
-    mine = dict(left._fields)
-    for name, value in right._fields:
+    mine = left._data
+    for name, value in right._data.items():
         if name in mine and canonical_key(mine[name]) != canonical_key(value):
             return False
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from repro.data.model import Bag, DataError, Record
-from repro.data.operators import OpAvg, OpMax, OpMin, OpSum, _like_match  # noqa: F401
+from repro.data.operators import OpAvg, OpMax, OpMin, OpSum
 from repro.nraenv.eval import EvalError
 from repro.oql import ast
 

@@ -30,9 +30,9 @@ def _date(text: str) -> DateValue:
 
 
 def _like(pattern: str, text: str) -> bool:
-    from repro.data.operators import _like_match
+    from repro.data.operators import OpLike
 
-    return _like_match(pattern, text)
+    return OpLike(pattern).apply(text)
 
 
 def _group(rows: List[dict], key: Callable[[dict], tuple]) -> "OrderedDict":
