@@ -21,6 +21,7 @@ Request flow per work op (``execute``/``query``)::
         -> worker pool acquire (deadline-bounded)
         -> round trip to a worker process (remaining budget rides along)
         -> record_remote (telemetry, rates, query log, per-worker metrics)
+        -> render: the worker's encoded result spliced into the body
 
 With ``--workers 0`` there is no pool and admitted work runs on the
 leader's own thread-pool executor instead; everything else (admission,
@@ -51,7 +52,7 @@ from repro.obs.context import QueryContext, query_context
 from repro.service.admission import AdmissionController
 from repro.service.errors import ServiceError
 from repro.service.http import obs_route
-from repro.service.worker import WorkerCrashed, WorkerPool
+from repro.service.worker import EncodedResult, WorkerCrashed, WorkerPool
 
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
@@ -83,6 +84,35 @@ _HTTP_REASONS = {
 
 def _error_response(kind: str, message: str) -> Dict[str, Any]:
     return {"ok": False, "error": {"kind": kind, "message": message}}
+
+
+def render(response: Dict[str, Any]) -> bytes:
+    """One response's wire body: ``json.dumps(response) + "\n"`` as bytes.
+
+    A worker-encoded ``result`` (:class:`EncodedResult`) is written as
+    the worker's text, at its key's position, without decoding it; the
+    other top-level values are encoded here.  The body is byte-identical
+    to ``json.dumps`` of the decoded response — same key order, default
+    separators, ``ensure_ascii`` (so the text is ASCII).  Response keys
+    are strings, as on every wire response.
+    """
+    result = response.get("result")
+    if not isinstance(result, EncodedResult):
+        return (json.dumps(response) + "\n").encode("utf-8")
+    parts = [
+        "%s: %s" % (json.dumps(key), result.text if value is result else json.dumps(value))
+        for key, value in response.items()
+    ]
+    return ("{" + ", ".join(parts) + "}\n").encode("utf-8")
+
+
+def _content_length(value: Optional[str]) -> Optional[int]:
+    """The ``Content-Length`` header as a byte count; ``None`` if invalid."""
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        return None  # HTTP allows digits only: no sign, space or "_"
+    return int(value)
 
 
 class ServeNetServer:
@@ -154,7 +184,9 @@ class ServeNetServer:
 
         This is the network ingress: the correlation context is created
         *here* (so even a shed response carries a real ``query_id``),
-        then the request is admitted, dispatched, and answered.
+        then the request is admitted, dispatched, and answered.  A
+        worker-executed ``result`` stays an :class:`EncodedResult`:
+        write the response with :func:`render`.
         """
         context = self.service.ingress_context()
         with query_context(context):
@@ -295,6 +327,7 @@ class ServeNetServer:
             return _error_response("internal_error", "worker sent a non-dict reply")
         worker_name = reply.pop("_worker", worker.name)
         obs = reply.pop("_obs", None)
+        result = reply.get("result")
         self.service.record_remote(
             context,
             reply,
@@ -303,6 +336,7 @@ class ServeNetServer:
             cache_hit=cache_hit,
             worker=worker_name,
             obs=obs,
+            rows=result.rows if isinstance(result, EncodedResult) else None,
         )
         return reply
 
@@ -410,8 +444,7 @@ class ServeNetServer:
                         writer,
                         400,
                         _JSON_CONTENT_TYPE,
-                        json.dumps(_error_response("bad_request", "malformed request line"))
-                        + "\n",
+                        render(_error_response("bad_request", "malformed request line")),
                         keep_alive=False,
                     )
                     break
@@ -424,7 +457,22 @@ class ServeNetServer:
                     if b":" in line:
                         key, value = line.decode("latin-1").split(":", 1)
                         headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
+                length = _content_length(headers.get("content-length"))
+                if length is None:
+                    await self._write_http(
+                        writer,
+                        400,
+                        _JSON_CONTENT_TYPE,
+                        render(
+                            _error_response(
+                                "bad_request",
+                                "bad Content-Length header %r: expected a "
+                                "non-negative integer" % headers["content-length"],
+                            )
+                        ),
+                        keep_alive=False,
+                    )
+                    break
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
@@ -440,7 +488,14 @@ class ServeNetServer:
                             _JSON_CONTENT_TYPE,
                             json.dumps({"error": "unknown path %r" % parsed.path}) + "\n",
                         )
-                    await self._write_http(writer, *answer, keep_alive=keep_alive)
+                    status, content_type, text = answer
+                    await self._write_http(
+                        writer,
+                        status,
+                        content_type,
+                        text.encode("utf-8"),
+                        keep_alive=keep_alive,
+                    )
                 elif method == "POST":
                     try:
                         request = json.loads(body.decode("utf-8"))
@@ -454,7 +509,7 @@ class ServeNetServer:
                         writer,
                         self.status_for(response),
                         _JSON_CONTENT_TYPE,
-                        json.dumps(response) + "\n",
+                        render(response),
                         keep_alive=keep_alive,
                     )
                 else:
@@ -462,7 +517,7 @@ class ServeNetServer:
                         writer,
                         405,
                         _JSON_CONTENT_TYPE,
-                        json.dumps({"error": "method %s not allowed" % method}) + "\n",
+                        render({"error": "method %s not allowed" % method}),
                         keep_alive=False,
                     )
                     break
@@ -479,10 +534,9 @@ class ServeNetServer:
         writer: Any,
         status: int,
         content_type: str,
-        body: str,
+        data: bytes,
         keep_alive: bool = True,
     ) -> None:
-        data = body.encode("utf-8")
         head = (
             "HTTP/1.1 %d %s\r\n"
             "Content-Type: %s\r\n"
@@ -521,7 +575,7 @@ class ServeNetServer:
                     request = None
                 else:
                     response = await self.handle(request)
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
+                writer.write(render(response))
                 await writer.drain()
                 if isinstance(request, dict) and request.get("op") == "shutdown":
                     break
@@ -707,4 +761,5 @@ __all__ = [
     "CONTROL_BROADCAST_OPS",
     "ServeNetServer",
     "WORK_OPS",
+    "render",
 ]

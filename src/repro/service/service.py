@@ -370,6 +370,7 @@ class QueryService:
         cache_hit: bool = False,
         worker: Optional[str] = None,
         obs: Optional[Dict[str, Any]] = None,
+        rows: Optional[int] = None,
     ) -> QueryTelemetry:
         """Record an execution that ran in a *worker process*.
 
@@ -387,6 +388,10 @@ class QueryService:
         ``metrics`` delta folds into the :attr:`fleet` under the
         worker's label, and its ``resources`` snapshot (when present)
         refreshes the worker's gauges.
+
+        ``rows`` is the result's row count as the worker reported it
+        (``None`` for a non-list result or an error): the leader does
+        not read the rows, which stay the worker's encoded text.
         """
         from repro.service.errors import error_from_payload
 
@@ -394,7 +399,6 @@ class QueryService:
         ok = bool(response.get("ok"))
         seconds = float(response.get("seconds") or 0.0)
         error_payload = response.get("error") or {}
-        result = response.get("result")
         analysis = response.get("analysis")
         analysis = analysis if isinstance(analysis, dict) else {}
         telemetry = QueryTelemetry(
@@ -405,7 +409,7 @@ class QueryService:
             execute_seconds=seconds,
             ok=ok,
             error_kind=None if ok else error_payload.get("kind", "internal_error"),
-            rows=len(result) if isinstance(result, list) else None,
+            rows=rows,
             peak_rows=analysis.get("peak_rows"),
             hot_operators=analysis.get("hot"),
             join_engine=analysis.get("join_engine"),

@@ -31,6 +31,12 @@ front end reports as a structured ``runtime_error``, never a hung
 client — and the pool **respawns** a replacement from a fresh snapshot
 before putting it back into rotation.
 
+Replies are encoded once, here: an ok reply's ``result`` crosses the
+pipe as its ``json.dumps`` text and row count (:func:`encode_result`),
+which the leader holds as an :class:`EncodedResult` and splices into
+the response body (:func:`repro.service.net.render`) without decoding
+or re-encoding the rows.
+
 Transient handles: one-shot ``query`` ops prepared inside a worker use
 the worker's own ``w<N>t…`` handle prefix so they can never collide
 with the leader-broadcast ``q…`` handles.
@@ -39,6 +45,7 @@ with the leader-broadcast ``q…`` handles.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import queue
 import sys
@@ -50,6 +57,78 @@ from typing import Any, Callable, Dict, List, Optional
 
 class WorkerCrashed(Exception):
     """The worker process died while (or before) answering a request."""
+
+
+class EncodedResult:
+    """An ok reply's ``result`` as the worker encoded it, once.
+
+    ``text`` is ``json.dumps(result)`` (default separators,
+    ``ensure_ascii``), so the leader can splice it into the response
+    body unchanged; ``rows`` is ``len(result)`` for a list result and
+    ``None`` otherwise, for the leader's telemetry.  Deliberately not
+    JSON-serializable: a path that forgets to splice fails loudly
+    instead of writing the text as a JSON string.
+
+    On the pipe the pair travels as the plain tuple ``(text, rows)``
+    that :func:`encode_result` leaves in the reply, and
+    :func:`received_reply` wraps it on the leader's IO thread: a tuple
+    pickles and unpickles in about half the time of an instance, and
+    JSON-able data holds no tuples, so the form is unambiguous.
+    """
+
+    __slots__ = ("text", "rows")
+
+    def __init__(self, text: str, rows: Optional[int]):
+        self.text = text
+        self.rows = rows
+
+    def __repr__(self) -> str:
+        return "EncodedResult(%d bytes, rows=%r)" % (len(self.text), self.rows)
+
+
+def encode_result(response: Dict[str, Any], tracer: Any = None) -> None:
+    """Worker side: replace an ok ``response``'s ``result`` with
+    ``(json.dumps(result), rows)``, the pipe form of :class:`EncodedResult`.
+
+    In place, keeping the key's position, so the leader writes the keys
+    in the order :meth:`QueryService.handle_request` produced them.
+    With a ``tracer`` (the request records a trace) the encode is a
+    ``serve.encode`` span carrying the text's ``bytes`` and the ``rows``.
+    """
+    if not response.get("ok") or "result" not in response:
+        return
+    result = response["result"]
+    rows = len(result) if isinstance(result, list) else None
+    if tracer is None:
+        response["result"] = (json.dumps(result), rows)
+        return
+    with tracer.span("serve.encode", category="serve", rows=rows) as span:
+        text = json.dumps(result)
+        span.note(bytes=len(text))
+    response["result"] = (text, rows)
+
+
+def received_reply(reply: Any) -> Any:
+    """Leader side: a pipe reply's ``(text, rows)`` result, wrapped in
+    place as an :class:`EncodedResult`; anything else passes through."""
+    if isinstance(reply, dict) and type(reply.get("result")) is tuple:
+        reply["result"] = EncodedResult(*reply["result"])
+    return reply
+
+
+def decode_reply(reply: Any) -> Any:
+    """A worker reply, as the pool returns it, with its result decoded
+    back to JSON-able data.
+
+    The leader never needs this (it splices the text); callers that
+    read a worker's rows directly — tests, tools — go through it.
+    Returns a shallow copy; non-dict replies and replies without an
+    encoded result come back unchanged.
+    """
+    if isinstance(reply, dict) and isinstance(reply.get("result"), EncodedResult):
+        reply = dict(reply)
+        reply["result"] = json.loads(reply["result"].text)
+    return reply
 
 
 def catalog_snapshot(service: Any) -> Dict[str, Any]:
@@ -120,7 +199,8 @@ def worker_main(
 
     Runs a private :class:`~repro.service.service.QueryService` (own
     plan cache, own executor) and loops over the pipe: one request dict
-    in, one response dict out.  The leader's ``_obs`` envelope rides
+    in, one response dict out, its ``result`` (when ok) already encoded
+    by :func:`encode_result`.  The leader's ``_obs`` envelope rides
     along so the worker's internal spans, telemetry, and (leader-side)
     audit events all share the request's correlation id; when it asks
     for trace recording the worker records its spans into a private
@@ -237,6 +317,7 @@ def worker_main(
                 context = QueryContext.from_wire(obs_in, tracer=tracer)
                 with query_context(context):
                     response = service.handle_request(msg)
+                encode_result(response, tracer)
         except Exception as exc:  # noqa: BLE001 - the worker loop must survive
             response = {
                 "ok": False,
@@ -318,7 +399,7 @@ class WorkerHandle:
             self.in_flight_query_id = msg.get("_obs", {}).get("query_id")
             try:
                 self._conn.send(msg)
-                reply = self._conn.recv()
+                reply = received_reply(self._conn.recv())
             except (EOFError, OSError, BrokenPipeError) as exc:
                 self._crashed = True
                 crash = WorkerCrashed(
@@ -594,10 +675,14 @@ class WorkerPool:
 
 
 __all__ = [
+    "EncodedResult",
     "WorkerCrashed",
     "WorkerHandle",
     "WorkerPool",
     "catalog_snapshot",
+    "decode_reply",
+    "encode_result",
+    "received_reply",
     "worker_main",
     "worker_resources",
 ]

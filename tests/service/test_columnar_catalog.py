@@ -16,6 +16,7 @@ from repro.data.columnar import cached_columnar
 from repro.data.model import Bag, Record, bag, rec
 from repro.service import Catalog, QueryService, WorkerPool, catalog_snapshot
 from repro.service.catalog import COLUMNAR_MIN_ROWS, rows_from_wire
+from repro.service.worker import decode_reply
 
 BIG = [{"g": i % 3, "v": i} for i in range(COLUMNAR_MIN_ROWS + 8)]
 
@@ -124,7 +125,7 @@ def test_worker_executes_from_columnar_snapshot():
 
         loop = asyncio.new_event_loop()
         try:
-            reply = loop.run_until_complete(go())
+            reply = decode_reply(loop.run_until_complete(go()))
         finally:
             loop.close()
         assert reply["ok"], reply

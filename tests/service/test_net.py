@@ -24,9 +24,13 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.log import read_events
 from repro.service import QueryService, ServeNetServer, WorkerPool, catalog_snapshot
+from repro.service.net import render
+from repro.service.worker import EncodedResult, decode_reply, encode_result, received_reply
 
 ROWS = [
     {"name": "ann", "age": 40},
@@ -646,3 +650,250 @@ def test_repro_trace_cli_renders_the_merged_tree(traced_stack):
     code = main(["trace", body["query_id"], "--url", url, "--json"], out=out)
     assert code == 0
     assert json.loads(out.getvalue())["query_id"] == body["query_id"]
+
+
+# -- the worker-encoded reply ---------------------------------------------
+#
+# A worker encodes an ok reply's result once (EncodedResult); the leader
+# splices that text into the body.  Every body must still be exactly
+# json.dumps(response) + "\n" of the decoded response.
+
+
+def _raw_http(server, request_bytes, timeout=30.0):
+    """Send raw bytes; return (status, headers, body bytes) of one reply."""
+    host, port = server.endpoints()["http"]
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(request_bytes)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, body
+
+
+def _post_raw(server, payload, timeout=60.0):
+    """POST ``payload``; the reply's status and undecoded body bytes."""
+    host, port = server.endpoints()["http"]
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        conn.request("POST", "/", body=json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_400_naming_the_header(stack, length):
+    _, server, _ = stack
+    status, headers, body = _raw_http(
+        server,
+        b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n{}"
+        % length.encode("latin-1"),
+    )
+    assert status == 400
+    assert headers["connection"] == "close"
+    assert int(headers["content-length"]) == len(body)
+    reply = json.loads(body.decode("utf-8"))
+    assert reply["error"]["kind"] == "bad_request"
+    assert "Content-Length" in reply["error"]["message"]
+    assert repr(length) in reply["error"]["message"]
+
+
+def test_telemetry_rows_equal_the_worker_reply_row_count(stack):
+    _, server, _ = stack
+    requests = [
+        {"op": "execute", "handle": "q1", "params": {"min": 25}},
+        {"op": "execute", "handle": "q1", "params": {"min": 100}},  # 0 rows
+        {
+            "op": "query",
+            "language": "oql",
+            "query": "sum(select p.age from p in people)",  # a scalar
+        },
+    ]
+    replies = []
+    for request in requests:
+        status, body = post(server, request)
+        assert status == 200 and body["ok"], body
+        replies.append(body)
+    assert [len(r["result"]) for r in replies[:2]] == [2, 0]
+    assert replies[2]["result"] == 91
+    status, text = get(server, "/telemetry?n=200")
+    assert status == 200
+    by_id = {q.get("query_id"): q for q in json.loads(text)["queries"]}
+    for reply in replies:
+        record = by_id[reply["query_id"]]
+        assert re.match(r"^w\d+$", record["worker"]), record
+        want = len(reply["result"]) if isinstance(reply["result"], list) else None
+        assert record.get("rows") == want, (record, reply)
+
+
+def test_traced_worker_request_has_an_encode_span_sized_as_the_result(traced_stack):
+    _, server, _ = traced_stack
+    status, raw = _post_raw(server, {"op": "execute", "handle": "q1", "params": {"min": 0}})
+    assert status == 200
+    body = json.loads(raw.decode("utf-8"))
+    assert len(body["result"]) == 3
+    segment = json.dumps(body["result"]).encode("utf-8")
+    assert b'"result": ' + segment in raw
+    status, text = get(server, "/trace/" + body["query_id"])
+    assert status == 200, text
+    lanes = {p["process"]: p["spans"] for p in json.loads(text)["processes"]}
+
+    def walk(spans):
+        for span in spans:
+            yield span
+            yield from walk(span.get("children", ()))
+
+    encodes = [
+        span
+        for name, spans in lanes.items()
+        if re.match(r"^w\d+$", name)
+        for span in walk(spans)
+        if span["name"] == "serve.encode"
+    ]
+    assert len(encodes) == 1, lanes
+    assert encodes[0]["args"]["bytes"] == len(segment)
+    assert encodes[0]["args"]["rows"] == 3
+    assert not [s for s in walk(lanes["leader"]) if s["name"] == "serve.encode"]
+
+
+DATED = [
+    {
+        "k": i,
+        "d": {"$date": "1995-%02d-%02d" % (i % 12 + 1, i % 28 + 1)},
+        "name": ["ann", "zoë", "李", "bob\n\"q\""][i % 4],
+        "price": [1.5, 0.1, 1e300, -0.0, 3][i % 5],
+    }
+    for i in range(40)
+]
+DATED_SQL = "select k, d, name, price from dated where k >= $min"
+
+
+def _dated_service(**kwargs):
+    service = QueryService(trace_sample_rate=None, **kwargs)
+    service.register_table("dated", DATED)
+    service.prepare("sql", DATED_SQL)
+    return service
+
+
+@pytest.mark.parametrize("workers", [1, 0])
+def test_http_and_tcp_bodies_match_in_process_json_dumps(workers):
+    reference = _dated_service()
+    request = {"op": "execute", "handle": "q1", "params": {"min": 3}}
+    try:
+        expected = reference.handle_request(dict(request))
+        assert expected["ok"] and len(expected["result"]) == 37
+        want = json.dumps(expected["result"]).encode("utf-8")
+    finally:
+        reference.close(wait=False)
+    service = _dated_service()
+    pool = None
+    if workers:
+        pool = WorkerPool(workers, lambda: catalog_snapshot(service)).start()
+    server = ServeNetServer(
+        service, pool=pool, http_port=0, tcp_port=0, heartbeat_interval=0
+    ).start_background()
+    try:
+        status, http_body = _post_raw(server, request)
+        assert status == 200
+        host, port = server.endpoints()["tcp"]
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            stream = sock.makefile("rwb")
+            stream.write((json.dumps(request) + "\n").encode("utf-8"))
+            stream.flush()
+            tcp_body = stream.readline()
+        for body in (http_body, tcp_body):
+            decoded = json.loads(body.decode("utf-8"))
+            assert decoded["ok"], decoded
+            assert body == (json.dumps(decoded) + "\n").encode("utf-8")
+            assert list(decoded) == list(expected)
+            assert json.dumps(decoded["result"]).encode("utf-8") == want
+            assert b'"result": ' + want + b", " in body
+    finally:
+        server.stop_background()
+
+
+# The byte-identity property of render: a response whose result is the
+# worker's EncodedResult renders as json.dumps of the plain response.
+
+_texts = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _texts,
+)
+_dates = st.dates().map(lambda d: {"$date": d.isoformat()})
+
+
+def _containers(children):
+    records = st.dictionaries(_texts, children, max_size=5)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        records,
+        records.map(lambda r: {"$record": r}),
+    )
+
+
+_values = st.recursive(st.one_of(_scalars, _dates), _containers, max_leaves=30)
+_results = st.one_of(
+    st.just([]),
+    _scalars,
+    st.lists(st.dictionaries(_texts, _values, max_size=6), max_size=8),
+    _values,
+)
+
+
+@st.composite
+def _responses(draw):
+    response = {"ok": True, "result": draw(_results), "seconds": draw(st.floats(0, 10))}
+    if draw(st.booleans()):
+        response["analysis"] = {"peak_rows": draw(st.integers(0, 99)), "hot": [draw(_texts)]}
+    response["query_id"] = draw(st.text("0123456789abcdef", min_size=16, max_size=16))
+    if draw(st.booleans()):
+        response["handle"] = draw(_texts)
+    return response
+
+
+@settings(max_examples=300, deadline=None)
+@given(_responses())
+def test_render_of_the_worker_form_is_json_dumps(response):
+    want = (json.dumps(response) + "\n").encode("utf-8")
+    assert render(response) == want
+    worker_form = dict(response)
+    encode_result(worker_form)
+    received_reply(worker_form)
+    assert isinstance(worker_form["result"], EncodedResult)
+    assert list(worker_form) == list(response)
+    assert render(worker_form) == want
+    rows = response["result"]
+    assert worker_form["result"].rows == (len(rows) if isinstance(rows, list) else None)
+    decoded = decode_reply(worker_form)
+    assert json.dumps(decoded) == json.dumps(response)
+
+
+def test_render_matches_json_dumps_on_fixed_replies():
+    for response in (
+        {"ok": False, "error": {"kind": "timeout", "message": "late"}, "query_id": "ab"},
+        {"ok": True, "result": [{"a": 1}], "query_id": "cd"},
+        {"ok": True, "handle": "q1", "params": ["min"]},
+    ):
+        worker_form = dict(response)
+        encode_result(worker_form)
+        received_reply(worker_form)
+        assert render(worker_form) == (json.dumps(response) + "\n").encode("utf-8")
+    with pytest.raises(TypeError):
+        json.dumps({"result": EncodedResult("[]", 0)})

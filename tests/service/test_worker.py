@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.service import QueryService, WorkerCrashed, WorkerPool, catalog_snapshot
+from repro.service.worker import EncodedResult, decode_reply
 
 ROWS = [
     {"name": "ann", "age": 40},
@@ -52,7 +53,7 @@ def run(coro):
         loop.close()
 
 
-def roundtrip(pool, msg, timeout=30.0):
+def raw_roundtrip(pool, msg, timeout=30.0):
     """acquire → request → (implicit release) on a fresh event loop."""
 
     async def go():
@@ -61,6 +62,11 @@ def roundtrip(pool, msg, timeout=30.0):
         return await pool.request(worker, dict(msg), timeout=timeout)
 
     return run(go())
+
+
+def roundtrip(pool, msg, timeout=30.0):
+    """:func:`raw_roundtrip` with the reply's encoded result decoded."""
+    return decode_reply(raw_roundtrip(pool, msg, timeout))
 
 
 def test_snapshot_carries_tables_and_prepared(leader):
@@ -82,6 +88,19 @@ def test_warmup_replay_makes_leader_handles_valid(pool):
     assert reply["ok"], reply
     assert sorted(row["name"] for row in reply["result"]) == ["ann", "cyd"]
     assert reply["_worker"] in ("w0", "w1")
+
+
+def test_ok_reply_result_crosses_the_pipe_encoded(pool):
+    raw = raw_roundtrip(pool, {"op": "execute", "handle": "q1", "params": {"min": 25}})
+    assert raw["ok"], raw
+    assert isinstance(raw["result"], EncodedResult)
+    assert list(raw)[:3] == ["ok", "result", "seconds"]
+    rows = json.loads(raw["result"].text)
+    assert sorted(row["name"] for row in rows) == ["ann", "cyd"]
+    assert raw["result"].text == json.dumps(rows)
+    assert raw["result"].rows == 2
+    error = raw_roundtrip(pool, {"op": "execute", "handle": "zz9"})
+    assert error["ok"] is False and "result" not in error
 
 
 def test_query_id_propagates_into_the_worker(pool):
